@@ -4,8 +4,15 @@ A pair of dimension-N qudits is parametrized as
 
     rho = (1/N^2) [ 1x1 + (L_i x 1) x_i + (1 x L_i) y_i + (L_i x L_j) w_ij ]
 
-with real vectors x, y of length N^2-1 and a real matrix w.  Component
-extraction uses x_i = (N/2) Tr(rho L_i x 1) and w_ij = (N^2/4) Tr(rho L_i x L_j).
+with real vectors x, y of length N^2-1 and a real matrix w.  With L_0 = 1
+prepended to the generators this is one coefficient matrix
+c = [[1, y^T], [x, w]] of shape (N^2, N^2):
+
+    rho[(a c), (b d)] = (1/N^2) sum_{mu nu} c_{mu nu} L_mu[a, b] L_nu[c, d],
+
+and component extraction is the same contraction run in reverse, giving
+x_i = (N/2) Tr(rho L_i x 1) and w_ij = (N^2/4) Tr(rho L_i x L_j).  Both
+directions cost O(N^6) time and O(N^4) memory.
 
 The Werner convention here is w = alpha * identity, so at N = 2 the value
 alpha = -1 gives the singlet projector.
@@ -14,7 +21,6 @@ alpha = -1 gives the singlet projector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,11 +28,12 @@ from .basis import (
     DEFAULT_TOL,
     GellMannBasis,
     StructureTensors,
+    _readonly,
     cached_basis,
     cached_tensors,
 )
-from .qudit import QuditState, from_bloch, to_bloch
-from .sympoly import require_hermitian
+from .qudit import QuditState, from_bloch
+from .sympoly import elementary_from_power, require_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +114,6 @@ class WernerConsistencyReport:
         }
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _det(m: np.ndarray) -> float:
     # exactly singular omegas are a meaningful input (det = 0 marks product
     # states); numpy's LU path warns on the zero pivot
@@ -119,17 +121,10 @@ def _det(m: np.ndarray) -> float:
         return float(np.linalg.det(m))
 
 
-@lru_cache(maxsize=None)
-def _product_operators(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked L_i x 1, 1 x L_i and L_i x L_j for subsystem dimension N."""
+def _extended_generators(N: int) -> np.ndarray:
+    """L_0 = 1 followed by L_1..L_{N^2-1}, shape (N^2, N, N)."""
     lam = cached_basis(N).generators
-    eye = np.eye(N, dtype=complex)
-    left = np.stack([np.kron(l, eye) for l in lam])
-    right = np.stack([np.kron(eye, l) for l in lam])
-    both = np.stack([np.stack([np.kron(a, b) for b in lam]) for a in lam])
-    for arr in (left, right, both):
-        arr.setflags(write=False)
-    return left, right, both
+    return np.concatenate([np.eye(N, dtype=complex)[None], lam])
 
 
 def from_components(
@@ -143,15 +138,13 @@ def from_components(
         raise ValueError(f"x and y must have length {n}")
     if omega.shape != (n, n):
         raise ValueError(f"omega must be {n}x{n}, got {omega.shape}")
-    left, right, both = _product_operators(N)
-    rho = np.eye(N * N, dtype=complex)
-    rho += np.einsum("i,iab->ab", x, left)
-    rho += np.einsum("i,iab->ab", y, right)
-    rho += np.einsum("ij,ijab->ab", omega, both)
-    rho /= N * N
+    c = np.vstack([np.append(1.0, y), np.column_stack([x, omega])])  # [[1, y^T], [x, w]]
+    L = _extended_generators(N)
+    right = np.einsum("mn,ncd->mcd", c, L)
+    rho = np.einsum("mab,mcd->acbd", L, right).reshape(N * N, N * N) / (N * N)
     return BipartiteState(
-        dim=N, x=_freeze(x.copy()), y=_freeze(y.copy()),
-        omega=_freeze(omega.copy()), rho=_freeze(rho),
+        dim=N, x=_readonly(x.copy()), y=_readonly(y.copy()),
+        omega=_readonly(omega.copy()), rho=_readonly(rho),
     )
 
 
@@ -166,11 +159,11 @@ def to_components(
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > tol:
         raise ValueError(f"trace must be 1, got {tr!r}")
-    left, right, both = _product_operators(N)
-    x = (N / 2.0) * np.einsum("iab,ba->i", left, rho).real
-    y = (N / 2.0) * np.einsum("iab,ba->i", right, rho).real
-    omega = (N * N / 4.0) * np.einsum("ijab,ba->ij", both, rho).real
-    return x, y, omega
+    L = _extended_generators(N)
+    # t[mu, nu] = Tr(rho L_mu x L_nu) with rho[(a c), (b d)] = R[a, c, b, d]
+    right = np.einsum("mba,acbd->mcd", L, rho.reshape(N, N, N, N))
+    t = np.einsum("mcd,ndc->mn", right, L).real
+    return (N / 2.0) * t[1:, 0], (N / 2.0) * t[0, 1:], (N * N / 4.0) * t[1:, 1:]
 
 
 def from_density_matrix(
@@ -182,15 +175,7 @@ def from_density_matrix(
 
 def reduced_states(state: BipartiteState) -> tuple[QuditState, QuditState]:
     """Partial traces over the second and first subsystem; Bloch vectors are x, y."""
-    N = state.dim
-    R = state.rho.reshape(N, N, N, N)
-    rho1 = np.einsum("ajbj->ab", R)
-    rho2 = np.einsum("jajb->ab", R)
-    basis = cached_basis(N)
-    return (
-        from_bloch(N, to_bloch(rho1, basis), basis),
-        from_bloch(N, to_bloch(rho2, basis), basis),
-    )
+    return from_bloch(state.dim, state.x), from_bloch(state.dim, state.y)
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +187,21 @@ def _require_qubit(state: BipartiteState) -> None:
         raise ValueError(f"operation is defined for N = 2 only, got N = {state.dim}")
 
 
+def _z(w: np.ndarray) -> np.ndarray:
+    """Z = -(1/2)(tr^2 w - tr w^2) 1 + tr(w) w^T - (w^2)^T for a 3 x 3 omega."""
+    trw = np.trace(w)
+    w2 = w @ w
+    return -0.5 * (trw**2 - np.trace(w2)) * np.eye(3) + trw * w.T - w2.T
+
+
 def purity_residuals_qubit(state: BipartiteState) -> PurityResiduals:
     """Residuals of the four two-qubit pure-state conditions."""
     _require_qubit(state)
     x, y, w = state.x, state.y, state.omega
-    trw = np.trace(w)
-    trw2 = np.trace(w @ w)
     r_sum = 1.0 + x @ x + y @ y + np.sum(w * w) - 4.0
     r_x = np.abs(x - w @ y).max()
     r_y = np.abs(y - w.T @ x).max()
-    m = (
-        np.outer(x, y)
-        - 0.5 * (trw**2 - trw2) * np.eye(3)
-        + trw * w.T
-        - (w @ w).T
-    )
-    r_omega = np.abs(w - m).max()
+    r_omega = np.abs(w - np.outer(x, y) - _z(w)).max()
     return PurityResiduals(
         r_sum=float(r_sum), r_x=float(r_x), r_y=float(r_y), r_omega=float(r_omega)
     )
@@ -254,13 +238,11 @@ def z_matrix(state: BipartiteState, tol: float = DEFAULT_TOL) -> ZMatrix:
     """Z_ij = -d_ij e2(omega) + omega_ji tr(omega) - (omega^2)_ji, for N = 2."""
     _require_qubit(state)
     w = state.omega
-    trw = np.trace(w)
-    trw2 = np.trace(w @ w)
-    Z = -0.5 * (trw**2 - trw2) * np.eye(3) + trw * w.T - (w @ w).T
+    Z = _z(w)
     det_w = _det(w)
     residual = float(np.abs(w @ Z.T + det_w * np.eye(3)).max())
     return ZMatrix(
-        Z=_freeze(Z),
+        Z=_readonly(Z),
         det_omega=det_w,
         adjugate_residual=residual,
         entangled=bool(np.abs(Z).max() > tol),
@@ -286,7 +268,7 @@ def mixed_positivity_qubit(state: BipartiteState, tol: float = DEFAULT_TOL) -> d
     S = float(x @ x + y @ y + np.sum(w * w))
     det_w = _det(w)
     G = float(x @ w @ y) - det_w
-    Z = z_matrix(state).Z
+    Z = _z(w)
     ineq1 = 3.0 - S
     ineq2 = 1.0 - S + 2.0 * G
     ineq3 = (
@@ -509,6 +491,13 @@ def werner_positivity_scan(
 
     Demonstrates that the symmetric-polynomial conditions are necessary but
     not sufficient: part of the e_2-allowed window fails the eigenvalue test.
+
+    The spectrum is closed-form, so no state is built: sum_i L_i x L_i =
+    2 (SWAP - 1/N), hence rho(alpha) = (1/N^2)[1 + 2 alpha (SWAP - 1/N)] has
+    the eigenvalue (1 + 2 alpha (+-1 - 1/N)) / N^2 on the symmetric
+    (multiplicity N(N+1)/2) and antisymmetric (N(N-1)/2) subspaces.  The
+    power sums p_1..p_3 follow from it, e_2 and e_3 from Newton's identities,
+    and the purity residual from werner_residual_curve.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -516,25 +505,24 @@ def werner_positivity_scan(
         alpha_min = -N / 2.0
     if alpha_max is None:
         alpha_max = N / 2.0
-    tensors = cached_tensors(N)
+    alphas = np.linspace(alpha_min, alpha_max, steps)
+    eigs = (1.0 + 2.0 * alphas[:, None] * (np.array([1.0, -1.0]) - 1.0 / N)) / (N * N)
+    mult = np.array([N * (N + 1) / 2.0, N * (N - 1) / 2.0])
+    residuals = werner_residual_curve(N, alphas)
     rows = []
-    for alpha in np.linspace(alpha_min, alpha_max, steps):
-        ws = werner(N, float(alpha))
-        rho = ws.state.rho
-        p = [float(np.trace(np.linalg.matrix_power(rho, k)).real) for k in (1, 2, 3)]
-        e2 = 0.5 - 0.5 * p[1]
-        e3 = 1.0 / 6.0 - 0.5 * p[1] + p[2] / 3.0
-        eigs = np.linalg.eigvalsh(rho)
-        res = purity_residuals_qudit(ws.state, tensors)
+    for alpha, spectrum, residual in zip(alphas, eigs, residuals):
+        p = [float(mult @ spectrum**k) for k in (1, 2, 3)]
+        _, e2, e3 = elementary_from_power(p)
+        min_eig = float(spectrum.min())
         rows.append(
             {
                 "N": N,
                 "alpha": float(alpha),
-                "e2": float(e2),
-                "e3": float(e3),
-                "min_eigenvalue": float(eigs[0]),
-                "psd": bool(eigs[0] >= -tol),
-                "purity_residual": res.total(),
+                "e2": e2,
+                "e3": e3,
+                "min_eigenvalue": min_eig,
+                "psd": min_eig >= -tol,
+                "purity_residual": float(residual),
             }
         )
     return rows

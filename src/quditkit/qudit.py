@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DEFAULT_TOL, GellMannBasis, StructureTensors, cached_basis, require_unitary
+from .basis import (
+    DEFAULT_TOL, GellMannBasis, StructureTensors, _readonly, cached_basis, require_unitary,
+)
 from .sympoly import require_hermitian
 
 
@@ -64,11 +66,6 @@ class PurityResiduals:
         return abs(self.r_norm) <= tol and self.r_vec <= tol
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def from_bloch(N: int, P: np.ndarray, basis: GellMannBasis | None = None) -> QuditState:
     """State with rho = (1/N)(1 + P_a L_a); P need not be physical."""
     basis = basis if basis is not None else cached_basis(N)
@@ -76,7 +73,7 @@ def from_bloch(N: int, P: np.ndarray, basis: GellMannBasis | None = None) -> Qud
     if P.shape != (N * N - 1,):
         raise ValueError(f"Bloch vector must have length {N * N - 1}, got shape {P.shape}")
     rho = (np.eye(N, dtype=complex) + np.einsum("a,aij->ij", P, basis.generators)) / N
-    return QuditState(dim=N, bloch=_freeze(P.copy()), rho=_freeze(rho))
+    return QuditState(dim=N, bloch=_readonly(P.copy()), rho=_readonly(rho))
 
 
 def to_bloch(rho: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL) -> np.ndarray:

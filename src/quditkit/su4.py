@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import cached_basis
+from .basis import _readonly, cached_basis
 
 _S3 = 1.0 / np.sqrt(3.0)
 _S6 = 1.0 / np.sqrt(6.0)
@@ -91,8 +91,7 @@ def _component_to_bloch_matrix() -> np.ndarray:
     for mu, (_, B) in enumerate(prods):
         col = 0.5 * np.einsum("aij,ji->a", lam, B)
         T[:, mu] = col.real
-    T.setflags(write=False)
-    return T
+    return _readonly(T)
 
 
 def _pauli_product_list() -> list[tuple[str, np.ndarray]]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from quditkit.bipartite import (
     werner_residual_curve,
     z_matrix,
 )
-from quditkit.sympoly import elementary_from_power, power_sums
+from quditkit.sympoly import elementary_from_power, positivity_check, power_sums
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -86,8 +88,30 @@ def test_to_components_product_state(rng):
     assert np.abs(st.omega - np.outer(st.x, st.y)).max() < 1e-12
 
 
+def kron_sum_oracle(N, x, y, w):
+    """rho from the paper's formula, one np.kron product per term."""
+    lam = cached_basis(N).generators
+    eye = np.eye(N)
+    rho = np.eye(N * N, dtype=complex)
+    for i in range(N * N - 1):
+        rho += x[i] * np.kron(lam[i], eye) + y[i] * np.kron(eye, lam[i])
+        for j in range(N * N - 1):
+            rho += w[i, j] * np.kron(lam[i], lam[j])
+    return rho / (N * N)
+
+
+@pytest.mark.parametrize("N", (2, 3))
+def test_from_components_matches_kron_sum(rng, N):
+    n = N * N - 1
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    w = rng.standard_normal((n, n))
+    st = from_components(N, x, y, w)
+    assert np.abs(st.rho - kron_sum_oracle(N, x, y, w)).max() < 1e-14
+
+
 def test_component_round_trip(rng):
-    for N in (2, 3):
+    for N in (2, 3, 5, 7):
         n = N * N - 1
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
@@ -97,6 +121,22 @@ def test_component_round_trip(rng):
         assert np.abs(x2 - x).max() < 1e-12
         assert np.abs(y2 - y).max() < 1e-12
         assert np.abs(w2 - w).max() < 1e-12
+
+
+def test_component_map_memory_is_quartic():
+    # the N = 8 map touches O(N^4) entries; a table of every L_i x L_j
+    # product would take about 260 MB
+    N = 8
+    cached_basis(N)
+    rho = np.eye(N * N) / (N * N)
+    tracemalloc.start()
+    try:
+        x, y, w = to_components(rho, cached_basis(N))
+        from_components(N, x, y, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_reduced_states(rng):
@@ -455,6 +495,28 @@ def test_werner_positivity_scan_window_n3():
     assert werner(3, 0.0).state is not None
     mid = [r for r in rows if abs(r["alpha"]) < 1e-9]
     assert mid and mid[0]["psd"] and mid[0]["e2"] > 0 and mid[0]["e3"] > 0
+
+
+@pytest.mark.parametrize("N", (2, 3, 4, 5))
+def test_werner_scan_matches_dense_spectrum(N):
+    for r in werner_positivity_scan(N):
+        rho = werner(N, r["alpha"]).state.rho
+        min_eig = np.linalg.eigvalsh(rho)[0]
+        _, e2, e3 = elementary_from_power(power_sums(rho, 3))
+        assert abs(r["min_eigenvalue"] - min_eig) < 1e-12
+        assert abs(r["e2"] - e2) < 1e-12
+        assert abs(r["e3"] - e3) < 1e-12
+        assert r["psd"] == (min_eig >= -1e-9)
+        try:
+            rep = positivity_check(rho)
+        except ArithmeticError:
+            # the all-e_k verdict passes a few slightly negative spectra at
+            # N^2 >= 16 (absolute tolerance on e_k ~ N^-2k) and refuses
+            assert not r["psd"]
+            continue
+        assert rep.psd == r["psd"]
+        assert abs(rep.elementary[1] - r["e2"]) < 1e-12
+        assert abs(rep.elementary[2] - r["e3"]) < 1e-12
 
 
 def test_werner_scan_alpha_zero_passes_everything():
