@@ -127,6 +127,21 @@ def _extended_generators(N: int) -> np.ndarray:
     return np.concatenate([np.eye(N, dtype=complex)[None], lam])
 
 
+def _assemble(N: int, c: np.ndarray) -> np.ndarray:
+    """sum_{mu nu} c_{mu nu} L_mu x L_nu as an N^2 x N^2 matrix."""
+    L = _extended_generators(N)
+    right = np.einsum("mn,ncd->mcd", c, L)
+    return np.einsum("mab,mcd->acbd", L, right).reshape(N * N, N * N)
+
+
+def _project(R: np.ndarray, N: int) -> np.ndarray:
+    """t[mu, nu] = Tr(R (L_mu x L_nu)) for an N^2 x N^2 matrix R."""
+    L = _extended_generators(N)
+    # R[(a c), (b d)] = R4[a, c, b, d]
+    right = np.einsum("mba,acbd->mcd", L, R.reshape(N, N, N, N))
+    return np.einsum("mcd,ndc->mn", right, L)
+
+
 def from_components(
     N: int, x: np.ndarray, y: np.ndarray, omega: np.ndarray
 ) -> BipartiteState:
@@ -139,9 +154,7 @@ def from_components(
     if omega.shape != (n, n):
         raise ValueError(f"omega must be {n}x{n}, got {omega.shape}")
     c = np.vstack([np.append(1.0, y), np.column_stack([x, omega])])  # [[1, y^T], [x, w]]
-    L = _extended_generators(N)
-    right = np.einsum("mn,ncd->mcd", c, L)
-    rho = np.einsum("mab,mcd->acbd", L, right).reshape(N * N, N * N) / (N * N)
+    rho = _assemble(N, c) / (N * N)
     return BipartiteState(
         dim=N, x=_readonly(x.copy()), y=_readonly(y.copy()),
         omega=_readonly(omega.copy()), rho=_readonly(rho),
@@ -159,10 +172,7 @@ def to_components(
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > tol:
         raise ValueError(f"trace must be 1, got {tr!r}")
-    L = _extended_generators(N)
-    # t[mu, nu] = Tr(rho L_mu x L_nu) with rho[(a c), (b d)] = R[a, c, b, d]
-    right = np.einsum("mba,acbd->mcd", L, rho.reshape(N, N, N, N))
-    t = np.einsum("mcd,ndc->mn", right, L).real
+    t = _project(rho, N).real
     return (N / 2.0) * t[1:, 0], (N / 2.0) * t[0, 1:], (N * N / 4.0) * t[1:, 1:]
 
 
@@ -291,6 +301,33 @@ def mixed_positivity_qubit(state: BipartiteState, tol: float = DEFAULT_TOL) -> d
 # general-N purity chain
 # ---------------------------------------------------------------------------
 
+def _d_vector(tensors: StructureTensors, M: np.ndarray) -> np.ndarray:
+    """v_i = d_imk M_mk, summed over the nonzeros of d."""
+    a, b, c = tensors.d_index.T
+    return np.bincount(a, tensors.d_value * M[b, c], minlength=M.shape[0])
+
+
+def _d_matrix(tensors: StructureTensors, u: np.ndarray) -> np.ndarray:
+    """D_ik = d_imk u_m as an n x n matrix, summed over the nonzeros of d."""
+    n = len(u)
+    a, b, c = tensors.d_index.T
+    return np.bincount(a * n + c, tensors.d_value * u[b], minlength=n * n).reshape(n, n)
+
+
+def _omega_square(N: int, w: np.ndarray) -> np.ndarray:
+    """C_ij = w_mn w_kl (d_nlj d_mki - f_nlj f_mki), from the generators.
+
+    d_abc + i f_abc = Tr(L_a L_b L_c) / 2, so the summand is
+    Re(T_nlj T_mki) / 4 with T_abc = Tr(L_a L_b L_c), and the sums over
+    (m, n) and (k, l) are the two factors of W^2 with W = w_mn L_m x L_n:
+    C_ij = Re Tr(W^2 (L_i x L_j)) / 4.  This costs O(N^6) time and O(N^4)
+    memory.  A COO contraction would pair every nonzero of d with every
+    other one, because w couples all four summed indices.
+    """
+    W = _assemble(N, np.pad(w, ((1, 0), (1, 0))))
+    return 0.25 * _project(W @ W, N).real[1:, 1:]
+
+
 def purity_residuals_qudit(
     state: BipartiteState, tensors: StructureTensors | None = None
 ) -> PurityResiduals:
@@ -305,31 +342,28 @@ def purity_residuals_qudit(
     if tensors.dim != N:
         raise ValueError("tensors do not match the state dimension")
     x, y, w = state.x, state.y, state.omega
-    d, f = tensors.d, tensors.f
     c = N * N - 2.0
 
     r_sum = 1.0 + (2.0 / N) * (x @ x + y @ y) + (4.0 / N**2) * np.sum(w * w) - N * N
 
     vx = (
         c * x
-        - np.einsum("kji,k,j->i", d, x, x)
+        - _d_vector(tensors, np.outer(x, x))
         - (4.0 / N) * w @ y
-        - (2.0 / N) * np.einsum("mki,ml,kl->i", d, w, w)
+        - (2.0 / N) * _d_vector(tensors, w @ w.T)
     )
     vy = (
         c * y
-        - np.einsum("kji,k,j->i", d, y, y)
+        - _d_vector(tensors, np.outer(y, y))
         - (4.0 / N) * w.T @ x
-        - (2.0 / N) * np.einsum("mki,lm,lk->i", d, w, w)
+        - (2.0 / N) * _d_vector(tensors, w.T @ w)
     )
-    C = np.einsum("mn,kl,nlj,mki->ij", w, w, d, d, optimize=True)
-    C -= np.einsum("mn,kl,nlj,mki->ij", w, w, f, f, optimize=True)
     vw = (
         c * w
         - 2.0 * np.outer(x, y)
-        - 2.0 * np.einsum("kli,k,lj->ij", d, x, w)
-        - 2.0 * np.einsum("klj,k,il->ij", d, y, w)
-        - C
+        - 2.0 * _d_matrix(tensors, x) @ w
+        - 2.0 * w @ _d_matrix(tensors, y)
+        - _omega_square(N, w)
     )
     return PurityResiduals(
         r_sum=float(r_sum),
@@ -353,10 +387,20 @@ def trace_identity_residual(
     N = state.dim
     tensors = tensors if tensors is not None else cached_tensors(N)
     x, y, w = state.x, state.y, state.omega
-    d = tensors.d
-    z = np.einsum("imk,mk->i", d, w)
+    z = _d_vector(tensors, w)
     ws = w + w.T
-    quad = 0.5 * np.einsum("imk,inl,mn,kl->", d, d, ws, ws, optimize=True)
+    # quad = (1/2) sum_i Tr((D_i ws)^2) with (D_i)_mk = d_imk.  E holds the
+    # nonzero rows (i, m) of D_i ws, one per run of equal (i, m) in the
+    # sorted COO index; Tr((D_i ws)^2) pairs E[(i, m), l] with E[(i, l), m].
+    n = len(x)
+    i, m, k = tensors.d_index.T
+    starts = np.flatnonzero(np.diff(i * n + m, prepend=-1))
+    ri, rm = i[starts], m[starts]
+    E = np.add.reduceat(tensors.d_value[:, None] * ws[k], starts, axis=0)
+    E = np.vstack([E, np.zeros((1, n))])  # a zero row for absent (i, l)
+    row = np.full((n, n), len(starts))
+    row[ri, rm] = np.arange(len(starts))
+    quad = 0.5 * np.sum(E[:-1] * E[row[ri], rm[:, None]])
     trw = np.trace(w)
     trw2 = np.trace(w @ w)
     lhs = (N * N - 2.0) * trw
@@ -404,7 +448,6 @@ def werner_residual_curve(
     purity_residuals_qudit(werner(N, a).state) pointwise.
     """
     tensors = tensors if tensors is not None else cached_tensors(N)
-    d, f = tensors.d, tensors.f
     n = N * N - 1
     eye = np.eye(n)
     alphas = np.asarray(alphas, dtype=float)
@@ -412,12 +455,9 @@ def werner_residual_curve(
     r_sum = np.abs(1.0 + (4.0 / N**2) * alphas**2 * n - N * N)
     # vector conditions: only the d-contraction survives, and it vanishes
     # because sum_l d_lli = 0; evaluate it anyway from the tensors
-    vec_base = np.abs((2.0 / N) * np.einsum("mki,ml,kl->i", d, eye, eye)).max()
+    vec_base = np.abs((2.0 / N) * _d_vector(tensors, eye)).max()
     r_vec = 2.0 * alphas**2 * vec_base
-    C_base = (
-        np.einsum("mn,kl,nlj,mki->ij", eye, eye, d, d, optimize=True)
-        - np.einsum("mn,kl,nlj,mki->ij", eye, eye, f, f, optimize=True)
-    )
+    C_base = _omega_square(N, eye)
     c = N * N - 2.0
     vw = c * alphas[:, None, None] * eye[None] - alphas[:, None, None] ** 2 * C_base[None]
     r_omega = np.abs(vw).max(axis=(1, 2))

@@ -58,7 +58,11 @@ def _emit(config: CommandConfig, text: str, suffix: str = "") -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """Strict JSON: a NaN or infinity is refused (exit 1), never written."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"result is not finite, the input is out of range: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -69,13 +73,18 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"cannot read input file {path!r}: {exc}") from exc
 
 
+def _finite_array(data: dict, key: str) -> np.ndarray:
+    a = np.asarray(data[key], dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"field {key!r} contains a non-finite value (NaN or infinity)")
+    return a
+
+
 def _load_qudit_state(path: str) -> qudit.QuditState:
     data = _load_json(path)
     if "bloch" not in data or "N" not in data:
         raise ValueError("state JSON must contain fields 'N' and 'bloch'")
-    N = int(data["N"])
-    P = np.asarray(data["bloch"], dtype=float)
-    return qudit.from_bloch(N, P)
+    return qudit.from_bloch(int(data["N"]), _finite_array(data, "bloch"))
 
 
 def _load_bipartite_state(path: str) -> bipartite.BipartiteState:
@@ -83,12 +92,8 @@ def _load_bipartite_state(path: str) -> bipartite.BipartiteState:
     for key in ("N", "x", "y", "omega"):
         if key not in data:
             raise ValueError(f"bipartite state JSON must contain field {key!r}")
-    return bipartite.from_components(
-        int(data["N"]),
-        np.asarray(data["x"], dtype=float),
-        np.asarray(data["y"], dtype=float),
-        np.asarray(data["omega"], dtype=float),
-    )
+    x, y, omega = (_finite_array(data, key) for key in ("x", "y", "omega"))
+    return bipartite.from_components(int(data["N"]), x, y, omega)
 
 
 def cmd_basis(config: CommandConfig) -> int:

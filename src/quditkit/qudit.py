@@ -95,23 +95,28 @@ def from_density_matrix(
     return from_bloch(basis.dim, to_bloch(rho, basis, tol), basis)
 
 
-def invariants(state: QuditState, tensors: StructureTensors) -> InvariantSet:
-    """All four invariants; a pure state has p2 = N(N-1)/2, Q = N(N-1)(N-2)/2."""
+def _q(state: QuditState, tensors: StructureTensors) -> np.ndarray:
+    """q_a = d_abc P_b P_c, summed over the nonzeros of d."""
     if tensors.dim != state.dim:
         raise ValueError("tensors do not match the state dimension")
     P = state.bloch
-    q = np.einsum("abc,b,c->a", tensors.d, P, P)
+    a, b, c = tensors.d_index.T
+    return np.bincount(a, tensors.d_value * P[b] * P[c], minlength=len(P))
+
+
+def invariants(state: QuditState, tensors: StructureTensors) -> InvariantSet:
+    """All four invariants; a pure state has p2 = N(N-1)/2, Q = N(N-1)(N-2)/2."""
+    q = _q(state, tensors)
+    P = state.bloch
     p2 = float(P @ P)
     Q = float(P @ q)
     return InvariantSet(p2=p2, Q=Q, q=tuple(float(v) for v in q), quartic=float(q @ q))
 
 
 def purity_residuals(state: QuditState, tensors: StructureTensors) -> PurityResiduals:
-    if tensors.dim != state.dim:
-        raise ValueError("tensors do not match the state dimension")
+    q = _q(state, tensors)
     N = state.dim
     P = state.bloch
-    q = np.einsum("abc,b,c->a", tensors.d, P, P)
     r_norm = float(P @ P) - N * (N - 1) / 2.0
     r_vec = float(np.abs((1.0 - 2.0 / N) * P - q / N).max())
     return PurityResiduals(r_norm=r_norm, r_vec=r_vec)

@@ -9,7 +9,6 @@ the cubic has three real roots with 1 + x_i >= 0.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,23 +164,24 @@ def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
 
 
 def region_to_csv(grid: RegionGrid) -> str:
-    """Cell table with columns |P|, Q, admissible(0/1), fail_mask."""
-    buf = io.StringIO()
-    buf.write("P,Q,admissible,fail_mask\n")
-    for i, pv in enumerate(grid.p_values):
-        for j, qv in enumerate(grid.q_values):
-            buf.write(
-                f"{float(pv)!r},{float(qv)!r},"
-                f"{int(grid.admissible[i, j])},{int(grid.fail_mask[i, j])}\n"
-            )
-    return buf.getvalue()
+    """Cell table with columns |P|, Q, admissible(0/1), fail_mask.
+
+    Each coordinate is formatted once with repr(float), and each
+    "admissible,fail_mask" tail is looked up by its code.
+    """
+    q_cells = [f"{q!r}," for q in grid.q_values.tolist()]
+    tails = [f"{adm},{mask}\n" for adm in (0, 1) for mask in range(256)]
+    codes = (grid.admissible.astype(np.intp) << 8) | grid.fail_mask
+    rows = ["P,Q,admissible,fail_mask\n"]
+    for p, row in zip(grid.p_values.tolist(), codes.tolist()):
+        head = f"{p!r},"
+        rows.append("".join([head + q + tails[code] for q, code in zip(q_cells, row)]))
+    return "".join(rows)
 
 
 def boundaries_to_csv(grid: RegionGrid) -> str:
     """Analytic boundary curve samples, one labelled row per point."""
-    buf = io.StringIO()
-    buf.write("condition,P,Q\n")
+    rows = ["condition,P,Q\n"]
     for name, curve in grid.boundaries.items():
-        for pv, qv in curve:
-            buf.write(f"{name},{float(pv)!r},{float(qv)!r}\n")
-    return buf.getvalue()
+        rows.append("".join([f"{name},{p!r},{q!r}\n" for p, q in curve.tolist()]))
+    return "".join(rows)

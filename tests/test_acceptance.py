@@ -75,7 +75,7 @@ def test_criterion_2_structure_tensor_identities():
         rhs += np.einsum("mni,kli->mnkl", d, d) - np.einsum("kni,mli->mnkl", d, d)
         worst = max(worst, np.abs(lhs - rhs).max())
         if N == 2:
-            d2_exact = np.abs(d).max() == 0.0 and len(t.d_entries) == 0
+            d2_exact = np.abs(d).max() == 0.0 and len(t.d_value) == 0
     _report(
         2,
         worst < 1e-10 and d2_exact,

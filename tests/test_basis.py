@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quditkit import sampling
 from quditkit.basis import (
+    DENSE_VIEW_MAX_BYTES,
+    SPARSE_CUTOFF,
     adjoint_of,
     cached_basis,
+    cached_tensors,
     compute_tensors,
     generate_basis,
     verify_ff_dd_identity,
@@ -120,7 +125,7 @@ def test_su3_structure_constant_f123_standard_ordering():
 
 
 def test_d_vanishes_for_su2(tensors):
-    assert len(tensors[2].d_entries) == 0
+    assert len(tensors[2].d_value) == 0
     assert np.abs(tensors[2].d).max() == 0.0
 
 
@@ -236,3 +241,64 @@ def test_json_export_schema(bases, tensors):
     for r in tj["f"]:
         f[r["a"], r["b"], r["c"]] = r["value"]
     assert np.abs(f - tensors[3].f).max() < 1e-12
+
+
+def trace_tensors_oracle(basis):
+    """Dense f, d from the full Tr(L_a L_b L_c) einsum (O(N^8) time, O(N^6) memory)."""
+    lam = basis.generators
+    prod = np.einsum("aij,bjk->abik", lam, lam)
+    t3 = np.einsum("abik,cki->abc", prod, lam)
+    anti = 0.25 * (t3 + np.swapaxes(t3, 0, 1))
+    comm = t3 - np.swapaxes(t3, 0, 1)
+    return comm.imag / 4.0, anti.real
+
+
+@pytest.mark.parametrize("N", range(2, 12))
+def test_coo_tensors_match_trace_oracle(N):
+    basis = generate_basis(N)
+    t = compute_tensors(basis)
+    f, d = trace_tensors_oracle(basis)
+    for dense, index, value in ((f, t.f_index, t.f_value), (d, t.d_index, t.d_value)):
+        expect = np.argwhere(np.abs(dense) > SPARSE_CUTOFF)
+        assert index.shape == expect.shape and (index == expect).all()
+        assert np.abs(value - dense[tuple(expect.T)]).max(initial=0.0) <= 1e-15
+        assert not index.flags.writeable and not value.flags.writeable
+
+
+@pytest.mark.parametrize("N", (16, 32))
+def test_coo_sum_rules_at_large_n(N):
+    t = cached_tensors(N)
+    n = N * N - 1
+    a, b, c = t.f_index.T
+    assert np.abs(np.bincount(c, t.f_value**2, n) - N).max() < 1e-10
+    a, b, c = t.d_index.T
+    assert np.abs(np.bincount(c, t.d_value**2, n) - (N * N - 4.0) / N).max() < 1e-10
+    diag = a == b
+    assert np.abs(np.bincount(c[diag], t.d_value[diag], n)).max() < 1e-10
+
+
+def test_dense_views_refused_above_budget():
+    t = cached_tensors(32)
+    assert 8 * (32 * 32 - 1) ** 3 > DENSE_VIEW_MAX_BYTES == 256 * 2**20
+    with pytest.raises(MemoryError, match="DENSE_VIEW_MAX_BYTES"):
+        t.d
+    with pytest.raises(MemoryError, match="DENSE_VIEW_MAX_BYTES"):
+        t.f
+
+
+def test_dense_views_rebuild_the_coo_entries(tensors):
+    t = tensors[4]
+    assert not t.d.flags.writeable
+    assert t.d is t.d
+    assert (t.d[tuple(t.d_index.T)] == t.d_value).all()
+    assert np.count_nonzero(t.d) == len(t.d_value)
+
+
+def test_tensor_build_memory_at_n32():
+    tracemalloc.start()
+    try:
+        compute_tensors(generate_basis(32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20

@@ -549,3 +549,69 @@ def test_no_pure_werner_beyond_qubits(N):
     assert totals.min() > 0.1
     rep = werner_consistency(N)
     assert rep.min_residual > 0.1
+
+
+# Dense einsum forms of the general-N contractions, kept as references for
+# the COO contractions in quditkit.bipartite.
+
+def dense_purity_residuals(state, t):
+    N = state.dim
+    x, y, w = state.x, state.y, state.omega
+    d, f = t.d, t.f
+    c = N * N - 2.0
+    r_sum = 1.0 + (2.0 / N) * (x @ x + y @ y) + (4.0 / N**2) * np.sum(w * w) - N * N
+    vx = (
+        c * x - np.einsum("kji,k,j->i", d, x, x) - (4.0 / N) * w @ y
+        - (2.0 / N) * np.einsum("mki,ml,kl->i", d, w, w)
+    )
+    vy = (
+        c * y - np.einsum("kji,k,j->i", d, y, y) - (4.0 / N) * w.T @ x
+        - (2.0 / N) * np.einsum("mki,lm,lk->i", d, w, w)
+    )
+    C = np.einsum("mn,kl,nlj,mki->ij", w, w, d, d, optimize=True)
+    C -= np.einsum("mn,kl,nlj,mki->ij", w, w, f, f, optimize=True)
+    vw = (
+        c * w - 2.0 * np.outer(x, y) - 2.0 * np.einsum("kli,k,lj->ij", d, x, w)
+        - 2.0 * np.einsum("klj,k,il->ij", d, y, w) - C
+    )
+    return r_sum, np.abs(vx).max(), np.abs(vy).max(), np.abs(vw).max()
+
+
+def dense_trace_identity_residual(state, t):
+    N = state.dim
+    x, y, w = state.x, state.y, state.omega
+    z = np.einsum("imk,mk->i", t.d, w)
+    ws = w + w.T
+    quad = 0.5 * np.einsum("imk,inl,mn,kl->", t.d, t.d, ws, ws, optimize=True)
+    trw, trw2 = np.trace(w), np.trace(w @ w)
+    rhs = 2.0 * x @ y + 2.0 * (x + y) @ z + quad - (2.0 / N) * (trw**2 - trw2) - z @ z
+    return abs((N * N - 2.0) * trw - rhs)
+
+
+def dense_werner_residual_curve(N, alphas, t):
+    d, f = t.d, t.f
+    n = N * N - 1
+    eye = np.eye(n)
+    r_sum = np.abs(1.0 + (4.0 / N**2) * alphas**2 * n - N * N)
+    vec_base = np.abs((2.0 / N) * np.einsum("mki,ml,kl->i", d, eye, eye)).max()
+    C = np.einsum("mn,kl,nlj,mki->ij", eye, eye, d, d, optimize=True)
+    C -= np.einsum("mn,kl,nlj,mki->ij", eye, eye, f, f, optimize=True)
+    vw = (N * N - 2.0) * alphas[:, None, None] * eye - alphas[:, None, None] ** 2 * C
+    return r_sum + 2.0 * alphas**2 * vec_base + np.abs(vw).max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_sparse_pair_contractions_match_dense_einsum(rng, N):
+    t = cached_tensors(N)
+    for rank in (1, 2, N * N):
+        rho = sampling.random_density_matrix(N * N, rng, rank=rank)
+        state = from_density_matrix(rho, N)
+        res = purity_residuals_qudit(state, t)
+        got = (res.r_sum, res.r_x, res.r_y, res.r_omega)
+        assert np.abs(np.subtract(got, dense_purity_residuals(state, t))).max() <= 1e-12
+        assert abs(
+            trace_identity_residual(state, t) - dense_trace_identity_residual(state, t)
+        ) <= 1e-12
+    alphas = np.linspace(-N, N, 41)
+    ref = dense_werner_residual_curve(N, alphas, t)
+    assert np.abs(werner_residual_curve(N, alphas, t) - ref).max() <= 1e-12

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from quditkit.cli import main
 
@@ -201,3 +202,37 @@ def test_invalid_dimension_exits_one(capsys):
 def test_invalid_tolerance_exits_one(capsys):
     code, _, err = run_cli(capsys, "werner", "--N", "2", "--tolerance", "-1")
     assert code == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "bloch",
+    [
+        [float("nan")] * 8,
+        [0.0, 0.0, float("inf"), 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ],
+    ids=["nan", "inf", "1e308"],
+)
+def test_check_refuses_out_of_range_bloch(capsys, tmp_path, bloch):
+    path = write_state(tmp_path, "state.json", {"N": 3, "bloch": bloch})
+    code, out, err = run_cli(capsys, "check", path)
+    assert code == 1
+    assert "NaN" not in out and "Infinity" not in out
+    error = json.loads(err)
+    assert error["command"] == "check"
+    if not np.isfinite(bloch).all():
+        assert "non-finite" in error["error"]
+
+
+def test_convert_refuses_non_finite_components(capsys, tmp_path):
+    payload = {
+        "N": 2,
+        "x": [0.0, 0.0, 0.0],
+        "y": [0.0, 0.0, 0.0],
+        "omega": [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    }
+    path = write_state(tmp_path, "pair.json", payload)
+    code, out, err = run_cli(capsys, "convert", path)
+    assert code == 1 and out == ""
+    assert "'omega'" in json.loads(err)["error"]

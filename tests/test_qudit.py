@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from quditkit import sampling
+from quditkit.basis import cached_tensors
 from quditkit.qudit import (
     UnphysicalStateError,
     elementary_from_invariants,
@@ -208,3 +210,18 @@ def test_entropy_depends_only_on_invariants(bases, rng):
 def test_state_json_schema(bases):
     d = from_bloch(2, np.array([0.0, 0.0, 1.0])).to_json_dict()
     assert d == {"N": 2, "bloch": [0.0, 0.0, 1.0], "physical": True}
+
+
+@given(strategies.integers(2, 12), strategies.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sparse_d_contractions_match_dense_einsum(N, seed):
+    P = np.random.default_rng(seed).uniform(-1.0, 1.0, N * N - 1)
+    t = cached_tensors(N)
+    state = from_bloch(N, P)
+    q = np.einsum("abc,b,c->a", t.d, P, P)
+    inv = invariants(state, t)
+    assert np.abs(np.array(inv.q) - q).max() <= 1e-12
+    assert abs(inv.Q - P @ q) <= 1e-12 * max(1.0, abs(P @ q))
+    assert abs(inv.quartic - q @ q) <= 1e-12 * max(1.0, q @ q)
+    r_vec = np.abs((1.0 - 2.0 / N) * P - q / N).max()
+    assert abs(purity_residuals(state, t).r_vec - r_vec) <= 1e-12

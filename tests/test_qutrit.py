@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -172,3 +175,36 @@ def test_region_csv_schemas():
     assert names == {
         "norm_bound", "condition1", "discriminant_upper", "discriminant_lower"
     }
+
+
+def region_to_csv_per_cell(grid):
+    """Reference writer: one formatted row per cell."""
+    buf = io.StringIO()
+    buf.write("P,Q,admissible,fail_mask\n")
+    for i, pv in enumerate(grid.p_values):
+        for j, qv in enumerate(grid.q_values):
+            buf.write(
+                f"{float(pv)!r},{float(qv)!r},"
+                f"{int(grid.admissible[i, j])},{int(grid.fail_mask[i, j])}\n"
+            )
+    return buf.getvalue()
+
+
+def boundaries_to_csv_per_point(grid):
+    """Reference writer: one formatted row per boundary sample."""
+    buf = io.StringIO()
+    buf.write("condition,P,Q\n")
+    for name, curve in grid.boundaries.items():
+        for pv, qv in curve:
+            buf.write(f"{name},{float(pv)!r},{float(qv)!r}\n")
+    return buf.getvalue()
+
+
+def test_region_csv_bytes_match_per_cell_writer():
+    grid = region_scan(512)
+    for fast, reference in (
+        (region_to_csv, region_to_csv_per_cell),
+        (boundaries_to_csv, boundaries_to_csv_per_point),
+    ):
+        got = hashlib.sha256(fast(grid).encode()).hexdigest()
+        assert got == hashlib.sha256(reference(grid).encode()).hexdigest()
