@@ -11,7 +11,7 @@ density matrix is positive semidefinite; the upper-right corner
 import argparse
 from pathlib import Path
 
-from quditkit.qutrit import boundaries_to_csv, region_scan, region_to_csv
+from quditkit.qutrit import boundaries_to_csv, region_csv_rows, region_scan
 
 
 def main() -> None:
@@ -25,7 +25,8 @@ def main() -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     region_path = args.out_dir / "qutrit_region.csv"
     boundary_path = args.out_dir / "qutrit_region_boundaries.csv"
-    region_path.write_text(region_to_csv(grid))
+    with region_path.open("w") as fh:
+        fh.writelines(region_csv_rows(grid))
     boundary_path.write_text(boundaries_to_csv(grid))
 
     total = grid.admissible.size

@@ -28,8 +28,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 SPARSE_CUTOFF = 1e-12
-# Largest dense (n, n, n) float64 view of f or d that StructureTensors will
-# build: N = 17 needs 182 MiB, N = 18 needs 257 MiB and is refused.
+# Largest dense array quditkit will allocate for one N.  It bounds the
+# (n, n, n) float64 view of f or d that StructureTensors will build (N = 17
+# needs 182 MiB, N = 18 needs 257 MiB and is refused) and the complex
+# (n, N, N) basis itself (N = 64 needs 256 MiB, N = 65 is refused).
 DENSE_VIEW_MAX_BYTES = 256 * 2**20
 
 
@@ -139,11 +141,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def generate_basis(N: int) -> GellMannBasis:
     """Build the N^2 - 1 generalized Gell-Mann matrices for SU(N).
 
-    Raises ValueError for N < 2.  generate_basis(2) returns the Pauli
-    matrices in the order (sigma_x, sigma_y, sigma_z).
+    Raises ValueError for N < 2, and before allocating when the dense
+    basis, 16 (N^2-1) N^2 bytes, would exceed DENSE_VIEW_MAX_BYTES (so
+    N <= 64).  generate_basis(2) returns the Pauli matrices in the order
+    (sigma_x, sigma_y, sigma_z).
     """
     if N < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {N}")
+    nbytes = 16 * (N * N - 1) * N * N
+    if nbytes > DENSE_VIEW_MAX_BYTES:
+        raise ValueError(
+            f"the SU({N}) basis needs {nbytes / 2**20:.0f} MiB, more than "
+            f"DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB"
+        )
     mats = []
     labels = []
     for j in range(N):

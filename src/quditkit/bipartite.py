@@ -20,6 +20,7 @@ alpha = -1 gives the singlet projector.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,30 +439,50 @@ def werner_alpha_omega(N: int) -> float:
     return -N * (N * N - 2.0) / 4.0
 
 
+def _werner_residual(
+    N: int, tensors: StructureTensors
+) -> Callable[[np.ndarray], np.ndarray]:
+    """alphas -> total purity residual of werner(N, alpha), as a closure.
+
+    The four residuals are polynomial in alpha, so the omega = identity
+    contractions are evaluated once, here, and each call costs O(n) per
+    alpha.  Off the diagonal the matrix condition is |0 - alpha^2 C_ij| =
+    alpha^2 |C_ij|, and rounding is monotone, so its max is
+    alpha^2 max|C_ij| exactly: the result is bit-identical to taking the
+    max over the full (n, n) residual matrix.
+    """
+    n = N * N - 1
+    eye = np.eye(n)
+    # vector conditions: only the d-contraction survives, and it vanishes
+    # because sum_l d_lli = 0; evaluate it anyway from the tensors
+    vec_base = np.abs((2.0 / N) * _d_vector(tensors, eye)).max()
+    C_base = _omega_square(N, eye)
+    c_diag = np.diag(C_base).copy()
+    c_off = np.abs(C_base[~eye.astype(bool)]).max()
+    c = N * N - 2.0
+
+    def residual(alphas: np.ndarray) -> np.ndarray:
+        alphas = np.asarray(alphas, dtype=float)
+        r_sum = np.abs(1.0 + (4.0 / N**2) * alphas**2 * n - N * N)
+        r_vec = 2.0 * alphas**2 * vec_base
+        r_diag = np.abs(c * alphas[:, None] - alphas[:, None] ** 2 * c_diag).max(axis=1)
+        r_omega = np.maximum(r_diag, alphas**2 * c_off)
+        return r_sum + r_vec + r_omega
+
+    return residual
+
+
 def werner_residual_curve(
     N: int, alphas: np.ndarray, tensors: StructureTensors | None = None
 ) -> np.ndarray:
     """Total purity residual of werner(N, alpha) for an array of alphas.
 
-    The four residuals are polynomial in alpha, so the omega = identity
-    contractions are evaluated once and rescaled; this matches
+    The alpha-independent contractions are computed once per call, and
+    each alpha then costs O(n); this matches
     purity_residuals_qudit(werner(N, a).state) pointwise.
     """
     tensors = tensors if tensors is not None else cached_tensors(N)
-    n = N * N - 1
-    eye = np.eye(n)
-    alphas = np.asarray(alphas, dtype=float)
-
-    r_sum = np.abs(1.0 + (4.0 / N**2) * alphas**2 * n - N * N)
-    # vector conditions: only the d-contraction survives, and it vanishes
-    # because sum_l d_lli = 0; evaluate it anyway from the tensors
-    vec_base = np.abs((2.0 / N) * _d_vector(tensors, eye)).max()
-    r_vec = 2.0 * alphas**2 * vec_base
-    C_base = _omega_square(N, eye)
-    c = N * N - 2.0
-    vw = c * alphas[:, None, None] * eye[None] - alphas[:, None, None] ** 2 * C_base[None]
-    r_omega = np.abs(vw).max(axis=(1, 2))
-    return r_sum + r_vec + r_omega
+    return _werner_residual(N, tensors)(alphas)
 
 
 def werner_consistency(
@@ -475,6 +496,8 @@ def werner_consistency(
     The residual scan covers alpha in [-N, N] on a uniform grid and then
     refines around the grid minimizer by golden-section search, certifying
     a lower bound on the family's distance from purity (zero only at N=2).
+    The alpha-independent terms of the residual are computed once per
+    call; the grid and every refinement step reuse them.
     """
     if N < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {N}")
@@ -483,14 +506,15 @@ def werner_consistency(
     a_omega = werner_alpha_omega(N)
     consistent = min(abs(a_norm - a_omega), abs(-a_norm - a_omega)) < 1e-12
 
+    residual = _werner_residual(N, tensors)
     alphas = np.linspace(-N, N, grid_points)
-    totals = werner_residual_curve(N, alphas, tensors)
+    totals = residual(alphas)
     k = int(np.argmin(totals))
     lo = alphas[max(k - 1, 0)]
     hi = alphas[min(k + 1, grid_points - 1)]
 
     def curve(a: float) -> float:
-        return float(werner_residual_curve(N, np.array([a]), tensors)[0])
+        return float(residual(np.array([a]))[0])
 
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -7,8 +7,10 @@ physicality is required.  Errors are emitted as structured JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,16 +47,26 @@ class CommandConfig:
             raise ValueError("N must be >= 2")
 
 
-def _emit(config: CommandConfig, text: str, suffix: str = "") -> None:
+def _emit(config: CommandConfig, chunks: Iterable[str], suffix: str = "") -> None:
+    """Write the text chunks in order to the output file or to stdout.
+
+    The file name gets the suffix before its extension.  On stdout a final
+    newline is added when the text does not end with one.
+    """
     if config.output:
         path = Path(config.output)
         if suffix:
             path = path.with_name(path.stem + suffix + path.suffix)
-        path.write_text(text)
+        sink = path.open("w")
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sink = contextlib.nullcontext(sys.stdout)
+    last = ""
+    with sink as out:
+        for chunk in chunks:
+            out.write(chunk)
+            last = chunk or last
+        if not config.output and not last.endswith("\n"):
+            out.write("\n")
 
 
 def _json_dumps(obj) -> str:
@@ -98,14 +110,14 @@ def _load_bipartite_state(path: str) -> bipartite.BipartiteState:
 
 def cmd_basis(config: CommandConfig) -> int:
     b = basis_mod.generate_basis(config.N)
-    _emit(config, _json_dumps(b.to_json_dict(config.tolerance)))
+    _emit(config, [_json_dumps(b.to_json_dict(config.tolerance))])
     return EXIT_OK
 
 
 def cmd_tensors(config: CommandConfig) -> int:
     b = basis_mod.generate_basis(config.N)
     t = basis_mod.compute_tensors(b, config.tolerance)
-    _emit(config, _json_dumps(t.to_json_dict(config.tolerance)))
+    _emit(config, [_json_dumps(t.to_json_dict(config.tolerance))])
     return EXIT_OK
 
 
@@ -124,7 +136,7 @@ def cmd_check(config: CommandConfig) -> int:
         "purity": {"r_norm": pur.r_norm, "r_vec": pur.r_vec},
         "entropy": qudit.entropy(state, config.tolerance) if report.psd else None,
     }
-    _emit(config, _json_dumps(out))
+    _emit(config, [_json_dumps(out)])
     return EXIT_OK
 
 
@@ -135,15 +147,15 @@ def cmd_entropy(config: CommandConfig) -> int:
     except qudit.UnphysicalStateError as exc:
         _error(config.command, str(exc))
         return EXIT_UNPHYSICAL
-    _emit(config, _json_dumps({"N": state.dim, "entropy": S}))
+    _emit(config, [_json_dumps({"N": state.dim, "entropy": S})])
     return EXIT_OK
 
 
 def cmd_qutrit_region(config: CommandConfig) -> int:
     grid = qutrit.region_scan(config.resolution, config.tolerance)
-    _emit(config, qutrit.region_to_csv(grid))
+    _emit(config, qutrit.region_csv_rows(grid))
     if config.output:
-        _emit(config, qutrit.boundaries_to_csv(grid), suffix="_boundaries")
+        _emit(config, [qutrit.boundaries_to_csv(grid)], suffix="_boundaries")
     return EXIT_OK
 
 
@@ -153,9 +165,9 @@ def cmd_werner(config: CommandConfig) -> int:
         config.N, config.alpha_min, config.alpha_max, config.steps, config.tolerance
     )
     if config.fmt == "csv":
-        _emit(config, bipartite.werner_scan_csv(rows))
+        _emit(config, [bipartite.werner_scan_csv(rows)])
     else:
-        _emit(config, _json_dumps({"consistency": report.to_json_dict(), "scan": rows}))
+        _emit(config, [_json_dumps({"consistency": report.to_json_dict(), "scan": rows})])
     return EXIT_OK
 
 
@@ -171,7 +183,7 @@ def cmd_convert(config: CommandConfig) -> int:
         float(np.abs(w2 - state.omega).max()),
     )
     out = {"N": 4, "bloch": P.tolist(), "roundtrip_residual": roundtrip}
-    _emit(config, _json_dumps(out))
+    _emit(config, [_json_dumps(out)])
     return EXIT_OK
 
 
@@ -182,7 +194,7 @@ def cmd_verify_su4(config: CommandConfig) -> int:
         "all_ok": all(r["ok"] for r in reports),
         "dictionary": su4.dictionary_json(),
     }
-    _emit(config, _json_dumps(out))
+    _emit(config, [_json_dumps(out)])
     return EXIT_OK
 
 
@@ -192,7 +204,7 @@ def cmd_random(config: CommandConfig) -> int:
     for _ in range(config.count):
         rho = sampling.random_density_matrix(config.N, rng)
         states.append(qudit.from_density_matrix(rho).to_json_dict(config.tolerance))
-    _emit(config, _json_dumps({"seed": config.seed, "states": states}))
+    _emit(config, [_json_dumps({"seed": config.seed, "states": states})])
     return EXIT_OK
 
 
@@ -252,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(config: CommandConfig) -> int:
     """Dispatch one parsed command; returns the process exit status."""
     try:
-        return _COMMANDS[config.command](config)
+        # a finite but huge input overflows on the way; the non-finite result
+        # is refused by _json_dumps, so numpy's warnings would only add noise
+        # ahead of the structured error on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[config.command](config)
     except (ValueError, KeyError, ArithmeticError) as exc:
         _error(config.command, str(exc))
         return EXIT_INVALID_INPUT

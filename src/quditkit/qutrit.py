@@ -9,6 +9,7 @@ the cubic has three real roots with 1 + x_i >= 0.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ CLAMP_SLACK = 1e-9
 
 P_MAX = np.sqrt(3.0)   # |P| bound for a qutrit
 Q_MIN, Q_MAX = -3.0, 3.0
+
+# region_scan evaluates its grid in blocks of whole rows, about this many cells
+_BLOCK_CELLS = 1 << 16
 
 
 class DiscriminantViolationError(ValueError):
@@ -131,20 +135,30 @@ def admissible(p2: float, Q: float, tol: float = DEFAULT_TOL) -> tuple[bool, lis
 
 
 def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
-    """Admissibility grid over |P| in [0, sqrt(3)], Q in [-3, 3]."""
+    """Admissibility grid over |P| in [0, sqrt(3)], Q in [-3, 3].
+
+    The conditions are evaluated on blocks of about _BLOCK_CELLS cells (whole
+    rows of fixed |P|), so the float temporaries stay bounded whatever the
+    resolution; each cell gets the same verdict as on the full grid.
+    """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
     p_values = np.linspace(0.0, P_MAX, resolution)
     q_values = np.linspace(Q_MIN, Q_MAX, resolution)
-    P2, QQ = np.meshgrid(p_values**2, q_values, indexing="ij")
-    ok_norm, ok_cond1, ok_disc, ok_eigen = _conditions(P2, QQ, tol)
-    fail_mask = (
-        (~ok_norm).astype(np.uint8) * FailFlag.NORM_BOUND
-        + (~ok_cond1).astype(np.uint8) * FailFlag.CONDITION1
-        + (~ok_disc).astype(np.uint8) * FailFlag.DISCRIMINANT
-        + (ok_disc & ~ok_eigen).astype(np.uint8) * FailFlag.EIGEN_POSITIVITY
-    )
-    adm = ok_norm & ok_cond1 & ok_disc & ok_eigen
+    p2 = p_values**2
+    adm = np.empty((resolution, resolution), dtype=bool)
+    fail_mask = np.empty((resolution, resolution), dtype=np.uint8)
+    rows = max(1, _BLOCK_CELLS // resolution)
+    for lo in range(0, resolution, rows):
+        P2, QQ = np.meshgrid(p2[lo:lo + rows], q_values, indexing="ij")
+        ok_norm, ok_cond1, ok_disc, ok_eigen = _conditions(P2, QQ, tol)
+        fail_mask[lo:lo + rows] = (
+            (~ok_norm).astype(np.uint8) * FailFlag.NORM_BOUND
+            + (~ok_cond1).astype(np.uint8) * FailFlag.CONDITION1
+            + (~ok_disc).astype(np.uint8) * FailFlag.DISCRIMINANT
+            + (ok_disc & ~ok_eigen).astype(np.uint8) * FailFlag.EIGEN_POSITIVITY
+        )
+        adm[lo:lo + rows] = ok_norm & ok_cond1 & ok_disc & ok_eigen
 
     ps = np.linspace(0.0, P_MAX, 4 * resolution)
     qs = np.linspace(Q_MIN, Q_MAX, 4 * resolution)
@@ -158,25 +172,29 @@ def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
         p_values=p_values,
         q_values=q_values,
         admissible=adm,
-        fail_mask=fail_mask.astype(np.uint8),
+        fail_mask=fail_mask,
         boundaries=boundaries,
     )
 
 
-def region_to_csv(grid: RegionGrid) -> str:
-    """Cell table with columns |P|, Q, admissible(0/1), fail_mask.
+def region_csv_rows(grid: RegionGrid) -> Iterator[str]:
+    """Cell table with columns |P|, Q, admissible(0/1), fail_mask, by rows.
 
-    Each coordinate is formatted once with repr(float), and each
+    Yields the header and then one string per |P| row.  Each coordinate is formatted once with repr(float), and each
     "admissible,fail_mask" tail is looked up by its code.
     """
     q_cells = [f"{q!r}," for q in grid.q_values.tolist()]
     tails = [f"{adm},{mask}\n" for adm in (0, 1) for mask in range(256)]
-    codes = (grid.admissible.astype(np.intp) << 8) | grid.fail_mask
-    rows = ["P,Q,admissible,fail_mask\n"]
-    for p, row in zip(grid.p_values.tolist(), codes.tolist()):
+    yield "P,Q,admissible,fail_mask\n"
+    for p, adm, mask in zip(grid.p_values.tolist(), grid.admissible, grid.fail_mask):
         head = f"{p!r},"
-        rows.append("".join([head + q + tails[code] for q, code in zip(q_cells, row)]))
-    return "".join(rows)
+        codes = ((adm.astype(np.intp) << 8) | mask).tolist()
+        yield "".join([head + q + tails[code] for q, code in zip(q_cells, codes)])
+
+
+def region_to_csv(grid: RegionGrid) -> str:
+    """The whole region_csv_rows table as one string."""
+    return "".join(region_csv_rows(grid))
 
 
 def boundaries_to_csv(grid: RegionGrid) -> str:

@@ -294,6 +294,18 @@ def test_dense_views_rebuild_the_coo_entries(tensors):
     assert np.count_nonzero(t.d) == len(t.d_value)
 
 
+def test_basis_refused_above_budget():
+    assert 16 * (64 * 64 - 1) * 64 * 64 <= DENSE_VIEW_MAX_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="DENSE_VIEW_MAX_BYTES"):
+            generate_basis(65)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_tensor_build_memory_at_n32():
     tracemalloc.start()
     try:

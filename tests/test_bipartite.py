@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quditkit import sampling
+from quditkit import bipartite, sampling
 from quditkit.basis import cached_basis, cached_tensors
 from quditkit.bipartite import (
     derived_qubit_identities,
@@ -470,6 +470,73 @@ def test_werner_residual_curve_matches_generic_path(rng):
         for a, v in zip(alphas, fast):
             generic = purity_residuals_qudit(werner(N, float(a)).state).total()
             assert abs(v - generic) < 1e-9
+
+
+def werner_residual_curve_per_alpha(N, alphas, tensors):
+    """The full (G, n, n) residual evaluation, with C = _omega_square(N, 1)."""
+    n = N * N - 1
+    eye = np.eye(n)
+    alphas = np.asarray(alphas, dtype=float)
+    r_sum = np.abs(1.0 + (4.0 / N**2) * alphas**2 * n - N * N)
+    vec_base = np.abs((2.0 / N) * bipartite._d_vector(tensors, eye)).max()
+    r_vec = 2.0 * alphas**2 * vec_base
+    C_base = bipartite._omega_square(N, eye)
+    c = N * N - 2.0
+    vw = c * alphas[:, None, None] * eye[None] - alphas[:, None, None] ** 2 * C_base[None]
+    r_omega = np.abs(vw).max(axis=(1, 2))
+    return r_sum + r_vec + r_omega
+
+
+def werner_minimum_per_alpha(N, tensors, grid_points=10_000, refine_iters=200):
+    """Grid scan plus golden-section refinement, one full evaluation per step."""
+    alphas = np.linspace(-N, N, grid_points)
+    totals = werner_residual_curve_per_alpha(N, alphas, tensors)
+    k = int(np.argmin(totals))
+    a = alphas[max(k - 1, 0)]
+    b = alphas[min(k + 1, grid_points - 1)]
+
+    def curve(x):
+        return float(werner_residual_curve_per_alpha(N, np.array([x]), tensors)[0])
+
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c1 = b - gr * (b - a)
+    c2 = a + gr * (b - a)
+    f1, f2 = curve(c1), curve(c2)
+    for _ in range(refine_iters):
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - gr * (b - a)
+            f1 = curve(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + gr * (b - a)
+            f2 = curve(c2)
+        if b - a < 1e-14:
+            break
+    argmin = (a + b) / 2.0
+    return min(curve(argmin), float(totals[k])), float(argmin)
+
+
+@pytest.mark.parametrize("N", (2, 3, 4, 5, 6, 7))
+def test_werner_consistency_matches_per_alpha_reference(N):
+    t = cached_tensors(N)
+    alphas = np.linspace(-N, N, 10_000)
+    got = werner_residual_curve(N, alphas, t)
+    assert got.tobytes() == werner_residual_curve_per_alpha(N, alphas, t).tobytes()
+    rep = werner_consistency(N, t)
+    assert (rep.min_residual, rep.argmin_alpha) == werner_minimum_per_alpha(N, t)
+
+
+def test_werner_consistency_memory_at_n7():
+    # the per-alpha form builds a (10 000, 48, 48) array: 369 MB peak
+    cached_tensors(7)
+    tracemalloc.start()
+    try:
+        werner_consistency(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_werner_positivity_scan_gap_n2():

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quditkit.cli import main
+from quditkit.qutrit import region_scan, region_to_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +110,18 @@ def test_qutrit_region_output_files(tmp_path, capsys):
     boundary = tmp_path / "region_boundaries.csv"
     assert boundary.exists()
     assert boundary.read_text().startswith("condition,P,Q")
+
+
+def test_qutrit_region_streams_the_same_bytes(tmp_path, capsys):
+    expected = region_to_csv(region_scan(256))
+    out_path = tmp_path / "region.csv"
+    code, out, _ = run_cli(
+        capsys, "qutrit-region", "--resolution", "256", "--output", str(out_path)
+    )
+    assert code == 0 and out == ""
+    assert out_path.read_bytes() == expected.encode()
+    code, out, _ = run_cli(capsys, "qutrit-region", "--resolution", "256")
+    assert code == 0 and out == expected
 
 
 def test_werner_json_report(capsys):
@@ -236,3 +255,29 @@ def test_convert_refuses_non_finite_components(capsys, tmp_path):
     code, out, err = run_cli(capsys, "convert", path)
     assert code == 1 and out == ""
     assert "'omega'" in json.loads(err)["error"]
+
+
+def run_cli_subprocess(tmp_path, *argv):
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "quditkit.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_check_overflow_stderr_is_one_json_object(tmp_path):
+    # 1e308 is finite but overflows in the power sums and invariants; numpy's
+    # RuntimeWarnings must not reach stderr ahead of the structured error
+    write_state(tmp_path, "state.json", {"N": 3, "bloch": [1e308] + [0.0] * 7})
+    proc = run_cli_subprocess(tmp_path, "check", "state.json")
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = json.loads(proc.stderr)  # one JSON object, nothing else
+    assert error["command"] == "check" and "not finite" in error["error"]
+
+
+def test_basis_beyond_memory_budget_exits_one(tmp_path):
+    proc = run_cli_subprocess(tmp_path, "basis", "--N", "100")
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = json.loads(proc.stderr)
+    assert error["command"] == "basis" and "DENSE_VIEW_MAX_BYTES" in error["error"]

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from quditkit.qutrit import (
     DiscriminantViolationError,
     FailFlag,
     admissible,
+    _conditions,
     boundaries_to_csv,
+    region_csv_rows,
     region_scan,
     region_to_csv,
     spectrum,
@@ -208,3 +211,34 @@ def test_region_csv_bytes_match_per_cell_writer():
     ):
         got = hashlib.sha256(fast(grid).encode()).hexdigest()
         assert got == hashlib.sha256(reference(grid).encode()).hexdigest()
+
+
+def test_region_scan_blocks_match_full_grid():
+    # 700 rows do not divide into whole blocks, so the last block is short
+    grid = region_scan(700)
+    P2, QQ = np.meshgrid(grid.p_values**2, grid.q_values, indexing="ij")
+    ok_norm, ok_cond1, ok_disc, ok_eigen = _conditions(P2, QQ, 1e-9)
+    assert (grid.admissible == (ok_norm & ok_cond1 & ok_disc & ok_eigen)).all()
+    mask = (
+        (~ok_norm) * FailFlag.NORM_BOUND
+        + (~ok_cond1) * FailFlag.CONDITION1
+        + (~ok_disc) * FailFlag.DISCRIMINANT
+        + (ok_disc & ~ok_eigen) * FailFlag.EIGEN_POSITIVITY
+    )
+    assert grid.fail_mask.dtype == np.uint8
+    assert (grid.fail_mask == mask).all()
+
+
+def test_region_scan_and_csv_rows_memory_at_1024():
+    # the full-grid scan peaks at 79 MB and the joined CSV string at 100 MB
+    tracemalloc.start()
+    try:
+        grid = region_scan(1024)
+        rows = 0
+        for chunk in region_csv_rows(grid):
+            rows += chunk.count("\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + 1024 * 1024
+    assert peak < 16 * 2**20
