@@ -14,6 +14,11 @@ and component extraction is the same contraction run in reverse, giving
 x_i = (N/2) Tr(rho L_i x 1) and w_ij = (N^2/4) Tr(rho L_i x L_j).  Both
 directions cost O(N^6) time and O(N^4) memory.
 
+The general-N purity chain is the same extraction applied to rho^2 - rho:
+the four pure-state conditions are the (1, 1), (L_i, 1), (1, L_j) and
+(L_i, L_j) components of rho^2 = rho, and their residuals and the trace
+identity are read off t_{mu nu} = Tr((rho^2 - rho)(L_mu x L_nu)).
+
 The Werner convention here is w = alpha * identity, so at N = 2 the value
 alpha = -1 gives the singlet projector.
 """
@@ -308,76 +313,48 @@ def _d_vector(tensors: StructureTensors, M: np.ndarray) -> np.ndarray:
     return np.bincount(a, tensors.d_value * M[b, c], minlength=M.shape[0])
 
 
-def _d_matrix(tensors: StructureTensors, u: np.ndarray) -> np.ndarray:
-    """D_ik = d_imk u_m as an n x n matrix, summed over the nonzeros of d."""
-    n = len(u)
-    a, b, c = tensors.d_index.T
-    return np.bincount(a * n + c, tensors.d_value * u[b], minlength=n * n).reshape(n, n)
+def _purity_defect(state: BipartiteState) -> np.ndarray:
+    """t[mu, nu] = Tr((rho^2 - rho)(L_mu x L_nu)): the components of rho^2 - rho.
 
-
-def _omega_square(N: int, w: np.ndarray) -> np.ndarray:
-    """C_ij = w_mn w_kl (d_nlj d_mki - f_nlj f_mki), from the generators.
-
-    d_abc + i f_abc = Tr(L_a L_b L_c) / 2, so the summand is
-    Re(T_nlj T_mki) / 4 with T_abc = Tr(L_a L_b L_c), and the sums over
-    (m, n) and (k, l) are the two factors of W^2 with W = w_mn L_m x L_n:
-    C_ij = Re Tr(W^2 (L_i x L_j)) / 4.  This costs O(N^6) time and O(N^4)
-    memory.  A COO contraction would pair every nonzero of d with every
-    other one, because w couples all four summed indices.
+    The pure-state conditions are t = 0, so every residual of the chain is
+    read off this one projection: O(N^6) time and O(N^4) memory.
     """
-    W = _assemble(N, np.pad(w, ((1, 0), (1, 0))))
-    return 0.25 * _project(W @ W, N).real[1:, 1:]
+    rho = state.rho
+    return _project(rho @ rho - rho, state.dim).real
 
 
-def purity_residuals_qudit(
-    state: BipartiteState, tensors: StructureTensors | None = None
-) -> PurityResiduals:
+def purity_residuals_qudit(state: BipartiteState) -> PurityResiduals:
     """Residuals of the four pure-state conditions for two dimension-N qudits.
 
-    The conditions are stated with the (N^2 - 2)-normalization, so at N = 2
-    the vector and matrix residuals are twice the qubit-form ones; the zero
-    sets coincide.
+    They are the components of rho^2 - rho, t = _purity_defect(state),
+    scaled to the (N^2 - 2)-normalized conditions written with d and f:
+
+        r_sum   = N^2 t_00               = 1 + (2/N)(|x|^2 + |y|^2) + (4/N^2) w:w - N^2
+        r_x     = (N^3/2) max_i |t_i0|   vector:  (N^2-2) x_i - d_ijk x_j x_k
+                                                  - (4/N) (w y)_i - (2/N) d_imk (w wT)_mk
+        r_y     = (N^3/2) max_i |t_0i|   the same with x <-> y, w <-> wT
+        r_omega = (N^4/4) max_ij |t_ij|  matrix:  (N^2-2) w_ij - 2 x_i y_j
+                                                  - 2 d_kil x_k w_lj - 2 w_il d_klj y_k
+                                                  - w_mn w_kl (d_nlj d_mki - f_nlj f_mki)
+
+    At N = 2 the vector and matrix residuals are twice the qubit-form ones;
+    the zero sets coincide.
     """
     N = state.dim
-    tensors = tensors if tensors is not None else cached_tensors(N)
-    if tensors.dim != N:
-        raise ValueError("tensors do not match the state dimension")
-    x, y, w = state.x, state.y, state.omega
-    c = N * N - 2.0
-
-    r_sum = 1.0 + (2.0 / N) * (x @ x + y @ y) + (4.0 / N**2) * np.sum(w * w) - N * N
-
-    vx = (
-        c * x
-        - _d_vector(tensors, np.outer(x, x))
-        - (4.0 / N) * w @ y
-        - (2.0 / N) * _d_vector(tensors, w @ w.T)
-    )
-    vy = (
-        c * y
-        - _d_vector(tensors, np.outer(y, y))
-        - (4.0 / N) * w.T @ x
-        - (2.0 / N) * _d_vector(tensors, w.T @ w)
-    )
-    vw = (
-        c * w
-        - 2.0 * np.outer(x, y)
-        - 2.0 * _d_matrix(tensors, x) @ w
-        - 2.0 * w @ _d_matrix(tensors, y)
-        - _omega_square(N, w)
-    )
+    t = _purity_defect(state)
     return PurityResiduals(
-        r_sum=float(r_sum),
-        r_x=float(np.abs(vx).max()),
-        r_y=float(np.abs(vy).max()),
-        r_omega=float(np.abs(vw).max()),
+        r_sum=float(N * N * t[0, 0]),
+        r_x=float(N**3 / 2.0 * np.abs(t[1:, 0]).max()),
+        r_y=float(N**3 / 2.0 * np.abs(t[0, 1:]).max()),
+        r_omega=float(N**4 / 4.0 * np.abs(t[1:, 1:]).max()),
     )
 
 
-def trace_identity_residual(
-    state: BipartiteState, tensors: StructureTensors | None = None
-) -> float:
+def trace_identity_residual(state: BipartiteState) -> float:
     """Residual of the trace consequence of the correlation-matrix condition.
+
+    It is the trace of the matrix condition, (N^4/4) |sum_i t_ii| with
+    t = _purity_defect(state).  Rewritten with the ff/dd identity this is
 
     (N^2-2) tr(w) = 2 x.y + 2 (x+y).z + (1/2) d_imk d_inl (w+wT)_mn (w+wT)_kl
                     - (2/N) [tr(w)^2 - tr(w^2)] - |z|^2,   z_i = d_imk w_mk.
@@ -386,33 +363,8 @@ def trace_identity_residual(
     reduces to the two-qubit trace identity at N = 2.
     """
     N = state.dim
-    tensors = tensors if tensors is not None else cached_tensors(N)
-    x, y, w = state.x, state.y, state.omega
-    z = _d_vector(tensors, w)
-    ws = w + w.T
-    # quad = (1/2) sum_i Tr((D_i ws)^2) with (D_i)_mk = d_imk.  E holds the
-    # nonzero rows (i, m) of D_i ws, one per run of equal (i, m) in the
-    # sorted COO index; Tr((D_i ws)^2) pairs E[(i, m), l] with E[(i, l), m].
-    n = len(x)
-    i, m, k = tensors.d_index.T
-    starts = np.flatnonzero(np.diff(i * n + m, prepend=-1))
-    ri, rm = i[starts], m[starts]
-    E = np.add.reduceat(tensors.d_value[:, None] * ws[k], starts, axis=0)
-    E = np.vstack([E, np.zeros((1, n))])  # a zero row for absent (i, l)
-    row = np.full((n, n), len(starts))
-    row[ri, rm] = np.arange(len(starts))
-    quad = 0.5 * np.sum(E[:-1] * E[row[ri], rm[:, None]])
-    trw = np.trace(w)
-    trw2 = np.trace(w @ w)
-    lhs = (N * N - 2.0) * trw
-    rhs = (
-        2.0 * float(x @ y)
-        + 2.0 * float((x + y) @ z)
-        + float(quad)
-        - (2.0 / N) * (trw**2 - trw2)
-        - float(z @ z)
-    )
-    return abs(float(lhs - rhs))
+    t = _purity_defect(state)
+    return float(N**4 / 4.0 * abs(np.trace(t[1:, 1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +408,10 @@ def _werner_residual(
     # vector conditions: only the d-contraction survives, and it vanishes
     # because sum_l d_lli = 0; evaluate it anyway from the tensors
     vec_base = np.abs((2.0 / N) * _d_vector(tensors, eye)).max()
-    C_base = _omega_square(N, eye)
+    # matrix condition: C_ij = Re Tr(S^2 (L_i x L_j)) / 4 with S = sum_i L_i x L_i,
+    # the w w (dd - ff) term at w = identity
+    S = _assemble(N, np.pad(eye, ((1, 0), (1, 0))))
+    C_base = 0.25 * _project(S @ S, N).real[1:, 1:]
     c_diag = np.diag(C_base).copy()
     c_off = np.abs(C_base[~eye.astype(bool)]).max()
     c = N * N - 2.0

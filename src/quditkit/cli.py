@@ -13,6 +13,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class CommandConfig:
             raise ValueError("tolerance must be > 0")
         if self.N < 2:
             raise ValueError("N must be >= 2")
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
 
 
 def _emit(config: CommandConfig, chunks: Iterable[str], suffix: str = "") -> None:
@@ -221,43 +224,56 @@ _COMMANDS = {
 }
 
 
-def _error(command: str, message: str) -> None:
+def _error(command: str | None, message: str) -> None:
     sys.stderr.write(_json_dumps({"command": command, "error": message}) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become a structured JSON error and exit 1, like invalid input."""
+
+    def error(self, message: str) -> NoReturn:
+        _error(self.prog.partition(" ")[2] or None, message)
+        sys.exit(EXIT_INVALID_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quditkit",
         description="Qudit density matrices in the generalized Gell-Mann basis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, with_input: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
+        """Register a subcommand with --output and the shared arguments named in flags."""
         p = sub.add_parser(name, help=help_text)
-        if with_input:
+        if "input" in flags:
             p.add_argument("input", help="path to a state JSON file")
-        p.add_argument("--N", type=int, default=3, help="qudit dimension (default 3)")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-        p.add_argument("--seed", type=int, default=0)
+        if "N" in flags:
+            p.add_argument("--N", type=int, default=3, help="qudit dimension (default 3)")
+        if "tolerance" in flags:
+            p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
         p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         return p
 
-    add("basis", "emit the generator matrices as JSON")
-    add("tensors", "emit the sparse f/d structure tensors as JSON")
-    add("check", "physicality, invariants and purity report for a state JSON", True)
-    add("entropy", "von Neumann entropy of a state JSON (exit 2 if unphysical)", True)
-    p = add("qutrit-region", "emit the admissible (|P|, Q) region as CSV")
+    add("basis", "emit the generator matrices as JSON", "N", "tolerance")
+    add("tensors", "emit the sparse f/d structure tensors as JSON", "N", "tolerance")
+    add("check", "physicality, invariants and purity report for a state JSON",
+        "input", "tolerance")
+    add("entropy", "von Neumann entropy of a state JSON (exit 2 if unphysical)",
+        "input", "tolerance")
+    p = add("qutrit-region", "emit the admissible (|P|, Q) region as CSV", "tolerance")
     p.add_argument("--resolution", type=int, default=512)
-    p.set_defaults(fmt="csv")
-    p = add("werner", "Werner-state consistency report and positivity scan")
+    p = add("werner", "Werner-state consistency report and positivity scan",
+            "N", "tolerance")
     p.add_argument("--alpha-min", type=float, default=None)
     p.add_argument("--alpha-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=101)
-    add("convert", "map a two-qubit component state to the ququart Bloch vector", True)
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    add("convert", "map a two-qubit component state to the ququart Bloch vector", "input")
     add("verify-su4", "check the 15 Pauli-product generator identities")
-    p = add("random", "sample random qudit states with the given seed")
+    p = add("random", "sample random qudit states with the given seed", "N", "tolerance")
     p.add_argument("--count", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -275,11 +291,12 @@ def run(config: CommandConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fields = CommandConfig.__dataclass_fields__
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        _error(args.command, f"unrecognized arguments: {' '.join(unknown)}")
+        return EXIT_INVALID_INPUT
     try:
-        config = CommandConfig(**{k: v for k, v in vars(args).items() if k in fields})
+        config = CommandConfig(**vars(args))
     except ValueError as exc:
         _error(args.command, str(exc))
         return EXIT_INVALID_INPUT

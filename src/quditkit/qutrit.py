@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DEFAULT_TOL
+from .basis import DEFAULT_TOL, DENSE_VIEW_MAX_BYTES
 
 # cos(chi) may poke out of [-1, 1] by roundoff; clamp only this far
 CLAMP_SLACK = 1e-9
@@ -139,10 +139,18 @@ def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
 
     The conditions are evaluated on blocks of about _BLOCK_CELLS cells (whole
     rows of fixed |P|), so the float temporaries stay bounded whatever the
-    resolution; each cell gets the same verdict as on the full grid.
+    resolution; each cell gets the same verdict as on the full grid.  The
+    two one-byte R x R result arrays are refused with ValueError, before
+    anything is allocated, above DENSE_VIEW_MAX_BYTES (so R <= 11585).
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
+    nbytes = 2 * resolution * resolution
+    if nbytes > DENSE_VIEW_MAX_BYTES:
+        raise ValueError(
+            f"a {resolution} x {resolution} region grid needs {nbytes / 2**20:.0f} MiB, "
+            f"more than DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB"
+        )
     p_values = np.linspace(0.0, P_MAX, resolution)
     q_values = np.linspace(Q_MIN, Q_MAX, resolution)
     p2 = p_values**2

@@ -347,7 +347,7 @@ def test_qudit_purity_maximally_mixed():
 
 
 def test_qudit_purity_random_populations(rng):
-    for N in (2, 3):
+    for N in (2, 3, 5, 7):
         for _ in range(500):
             st = random_pure_bipartite(N, rng)
             assert purity_residuals_qudit(st).total() < 1e-8
@@ -386,10 +386,23 @@ def test_swap_symmetry(rng):
 
 
 def test_trace_identity_on_pure_states(rng):
-    for N in (2, 3):
+    for N in (2, 3, 5, 7):
         for _ in range(100):
             st = random_pure_bipartite(N, rng)
             assert trace_identity_residual(st) < 1e-8
+
+
+def test_trace_identity_memory_at_n9(rng):
+    # the projection needs a few N^4 arrays (0.5 MB); a COO pairing of d peaked at 5.9 MB
+    st = from_density_matrix(sampling.random_density_matrix(81, rng), 9)
+    trace_identity_residual(st)
+    tracemalloc.start()
+    try:
+        trace_identity_residual(st)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_trace_identity_reduces_to_qubit_form(rng):
@@ -473,14 +486,15 @@ def test_werner_residual_curve_matches_generic_path(rng):
 
 
 def werner_residual_curve_per_alpha(N, alphas, tensors):
-    """The full (G, n, n) residual evaluation, with C = _omega_square(N, 1)."""
+    """The full (G, n, n) residual evaluation, with C the w w (dd - ff) term at w = 1."""
     n = N * N - 1
     eye = np.eye(n)
     alphas = np.asarray(alphas, dtype=float)
     r_sum = np.abs(1.0 + (4.0 / N**2) * alphas**2 * n - N * N)
     vec_base = np.abs((2.0 / N) * bipartite._d_vector(tensors, eye)).max()
     r_vec = 2.0 * alphas**2 * vec_base
-    C_base = bipartite._omega_square(N, eye)
+    S = bipartite._assemble(N, np.pad(eye, ((1, 0), (1, 0))))
+    C_base = 0.25 * bipartite._project(S @ S, N).real[1:, 1:]
     c = N * N - 2.0
     vw = c * alphas[:, None, None] * eye[None] - alphas[:, None, None] ** 2 * C_base[None]
     r_omega = np.abs(vw).max(axis=(1, 2))
@@ -673,11 +687,11 @@ def test_sparse_pair_contractions_match_dense_einsum(rng, N):
     for rank in (1, 2, N * N):
         rho = sampling.random_density_matrix(N * N, rng, rank=rank)
         state = from_density_matrix(rho, N)
-        res = purity_residuals_qudit(state, t)
+        res = purity_residuals_qudit(state)
         got = (res.r_sum, res.r_x, res.r_y, res.r_omega)
         assert np.abs(np.subtract(got, dense_purity_residuals(state, t))).max() <= 1e-12
         assert abs(
-            trace_identity_residual(state, t) - dense_trace_identity_residual(state, t)
+            trace_identity_residual(state) - dense_trace_identity_residual(state, t)
         ) <= 1e-12
     alphas = np.linspace(-N, N, 41)
     ref = dense_werner_residual_curve(N, alphas, t)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditkit.cli import main
+from quditkit.cli import CommandConfig, build_parser, main
 from quditkit.qutrit import region_scan, region_to_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -281,3 +282,39 @@ def test_basis_beyond_memory_budget_exits_one(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     error = json.loads(proc.stderr)
     assert error["command"] == "basis" and "DENSE_VIEW_MAX_BYTES" in error["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("werner", "--N", "abc"),
+        ("werner", "--N", "3", "--bogus"),
+        ("qutrit-region", "--resolution", "8", "--format", "json"),
+        ("convert", "pair.json", "--N", "3"),
+    ],
+    ids=["bad-value", "unknown-flag", "format-not-read", "N-not-read"],
+)
+def test_usage_error_exits_one_with_json_error(tmp_path, argv):
+    proc = run_cli_subprocess(tmp_path, *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = json.loads(proc.stderr)  # one JSON object, no argparse usage text
+    assert error["command"] == argv[0]
+
+
+def test_random_count_below_one_exits_one(capsys):
+    code, out, err = run_cli(capsys, "random", "--N", "2", "--count", "0")
+    assert code == 1 and out == ""
+    assert "count" in json.loads(err)["error"]
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv and argv[0] == "quditkit"]
+    assert len(commands) == 10
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+        CommandConfig(**vars(args))

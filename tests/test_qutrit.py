@@ -242,3 +242,15 @@ def test_region_scan_and_csv_rows_memory_at_1024():
         tracemalloc.stop()
     assert rows == 1 + 1024 * 1024
     assert peak < 16 * 2**20
+
+
+def test_region_scan_refuses_grid_beyond_memory_budget():
+    # two one-byte 20000 x 20000 arrays would take 763 MiB; refused before allocating
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="DENSE_VIEW_MAX_BYTES"):
+            region_scan(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
