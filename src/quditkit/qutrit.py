@@ -95,22 +95,32 @@ def spectrum(p2: float, Q: float, tol: float = DEFAULT_TOL) -> QutritSpectrum:
 def _conditions(
     p2: np.ndarray, Q: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized per-condition pass flags (norm, condition1, discriminant, eigen)."""
+    """Vectorized per-condition pass flags (norm, condition1, discriminant, eigen).
+
+    p2 and Q broadcast against each other; each flag has the shape of the
+    operation that decides it.  The eigenvalue flag is False wherever the
+    discriminant fails, and the trigonometric root is evaluated only on the
+    cells where the spectrum is real.
+    """
     p2 = np.asarray(p2, dtype=float)
     Q = np.asarray(Q, dtype=float)
     ok_norm = p2 <= 3.0 + tol
     ok_cond1 = (2.0 / 3.0) * Q >= p2 - 1.0 - tol
     ok_disc = 3.0 * Q**2 <= p2**3 + tol
+    p2_real, q_real = (np.broadcast_to(a, ok_disc.shape)[ok_disc] for a in (p2, Q))
     # smallest root where the spectrum is real; x3 = scale*cos(chi/3) is the
     # largest, the minimum is x1
-    pnorm = np.sqrt(p2)
+    pnorm = np.sqrt(p2_real)
     # the floor only guards the discarded pnorm = 0 branch of the where
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_chi = np.where(pnorm > 0, np.sqrt(3.0) * Q / np.maximum(pnorm, 1e-30) ** 3, 1.0)
-    chi = np.arccos(np.clip(cos_chi, -1.0, 1.0))
+        cos_chi = np.where(
+            pnorm > 0, np.sqrt(3.0) * q_real / np.maximum(pnorm, 1e-30) ** 3, 1.0
+        )
+    third = np.arccos(np.clip(cos_chi, -1.0, 1.0)) / 3.0
     scale = 2.0 * pnorm / np.sqrt(3.0)
-    x_min = scale * (-0.5 * np.cos(chi / 3.0) - (np.sqrt(3.0) / 2.0) * np.sin(chi / 3.0))
-    ok_eigen = np.where(ok_disc, 1.0 + x_min >= -tol, False)
+    x_min = scale * (-0.5 * np.cos(third) - (np.sqrt(3.0) / 2.0) * np.sin(third))
+    ok_eigen = np.zeros(ok_disc.shape, dtype=bool)
+    ok_eigen[ok_disc] = 1.0 + x_min >= -tol
     return ok_norm, ok_cond1, ok_disc, ok_eigen
 
 
@@ -158,8 +168,7 @@ def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
     fail_mask = np.empty((resolution, resolution), dtype=np.uint8)
     rows = max(1, _BLOCK_CELLS // resolution)
     for lo in range(0, resolution, rows):
-        P2, QQ = np.meshgrid(p2[lo:lo + rows], q_values, indexing="ij")
-        ok_norm, ok_cond1, ok_disc, ok_eigen = _conditions(P2, QQ, tol)
+        ok_norm, ok_cond1, ok_disc, ok_eigen = _conditions(p2[lo:lo + rows, None], q_values, tol)
         fail_mask[lo:lo + rows] = (
             (~ok_norm).astype(np.uint8) * FailFlag.NORM_BOUND
             + (~ok_cond1).astype(np.uint8) * FailFlag.CONDITION1
@@ -188,16 +197,29 @@ def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
 def region_csv_rows(grid: RegionGrid) -> Iterator[str]:
     """Cell table with columns |P|, Q, admissible(0/1), fail_mask, by rows.
 
-    Yields the header and then one string per |P| row.  Each coordinate is formatted once with repr(float), and each
-    "admissible,fail_mask" tail is looked up by its code.
+    Yields the header and then one string per |P| row.  A cell reads
+    head + q_j + tail[code], where head is the row's "|P|," and code is
+    admissible << 8 | fail_mask, so a row is head + head.join(cells).  The
+    code is constant over runs of cells: for each code that occurs (four on
+    a region_scan grid, at most 512) the strings q_j + tail[code] are built
+    once for every j, and each row joins the slices its runs select.
     """
     q_cells = [f"{q!r}," for q in grid.q_values.tolist()]
     tails = [f"{adm},{mask}\n" for adm in (0, 1) for mask in range(256)]
+    cells_by_code: dict[int, list[str]] = {}
     yield "P,Q,admissible,fail_mask\n"
     for p, adm, mask in zip(grid.p_values.tolist(), grid.admissible, grid.fail_mask):
         head = f"{p!r},"
-        codes = ((adm.astype(np.intp) << 8) | mask).tolist()
-        yield "".join([head + q + tails[code] for q, code in zip(q_cells, codes)])
+        change = (adm[1:] != adm[:-1]) | (mask[1:] != mask[:-1])
+        starts = [0, *(np.flatnonzero(change) + 1).tolist()]
+        cells = []
+        for lo, hi in zip(starts, starts[1:] + [len(mask)]):
+            code = 256 * bool(adm[lo]) + int(mask[lo])
+            run = cells_by_code.get(code)
+            if run is None:
+                run = cells_by_code[code] = [q + tails[code] for q in q_cells]
+            cells += run[lo:hi]
+        yield head + head.join(cells)
 
 
 def region_to_csv(grid: RegionGrid) -> str:
@@ -206,8 +228,21 @@ def region_to_csv(grid: RegionGrid) -> str:
 
 
 def boundaries_to_csv(grid: RegionGrid) -> str:
-    """Analytic boundary curve samples, one labelled row per point."""
+    """Analytic boundary curve samples, one labelled row per point.
+
+    Each distinct column is formatted once (three of the region_scan curves
+    share their |P| column), since repr(float) dominates the cost.
+    """
+    formatted: dict[bytes, list[str]] = {}
+
+    def cells(column: np.ndarray) -> list[str]:
+        key = column.tobytes()
+        if key not in formatted:
+            formatted[key] = [repr(v) for v in column.tolist()]
+        return formatted[key]
+
     rows = ["condition,P,Q\n"]
     for name, curve in grid.boundaries.items():
-        rows.append("".join([f"{name},{p!r},{q!r}\n" for p, q in curve.tolist()]))
+        pairs = zip(cells(curve[:, 0]), cells(curve[:, 1]))
+        rows.append("".join([f"{name},{p},{q}\n" for p, q in pairs]))
     return "".join(rows)

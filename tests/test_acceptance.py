@@ -24,11 +24,12 @@ from quditkit.qudit import entropy, from_bloch, invariants, to_bloch, transform
 from quditkit.qutrit import region_scan, spectrum
 from quditkit.su4 import components_to_ququart, ququart_to_components, verify_pauli_dictionary
 from quditkit.sympoly import (
-    elementary_closed_forms,
     elementary_from_power,
     positivity_check,
     power_sums,
 )
+
+from closed_forms import elementary_closed_forms
 
 SEED = 1234
 

@@ -11,6 +11,7 @@ from quditkit.qudit import from_bloch, invariants, to_bloch
 from quditkit.qutrit import (
     DiscriminantViolationError,
     FailFlag,
+    RegionGrid,
     admissible,
     _conditions,
     boundaries_to_csv,
@@ -227,6 +228,96 @@ def test_region_scan_blocks_match_full_grid():
     )
     assert grid.fail_mask.dtype == np.uint8
     assert (grid.fail_mask == mask).all()
+
+
+def conditions_all_cells(p2, Q, tol):
+    """Reference flags: the closed-form root on every cell, masked afterwards."""
+    p2 = np.asarray(p2, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    ok_norm = p2 <= 3.0 + tol
+    ok_cond1 = (2.0 / 3.0) * Q >= p2 - 1.0 - tol
+    ok_disc = 3.0 * Q**2 <= p2**3 + tol
+    pnorm = np.sqrt(p2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_chi = np.where(pnorm > 0, np.sqrt(3.0) * Q / np.maximum(pnorm, 1e-30) ** 3, 1.0)
+    chi = np.arccos(np.clip(cos_chi, -1.0, 1.0))
+    scale = 2.0 * pnorm / np.sqrt(3.0)
+    x_min = scale * (-0.5 * np.cos(chi / 3.0) - (np.sqrt(3.0) / 2.0) * np.sin(chi / 3.0))
+    ok_eigen = np.where(ok_disc, 1.0 + x_min >= -tol, False)
+    return ok_norm, ok_cond1, ok_disc, ok_eigen
+
+
+@pytest.mark.parametrize("resolution", [700, 1024])
+def test_region_scan_matches_all_cells_reference(resolution):
+    grid = region_scan(resolution)
+    P2, QQ = np.meshgrid(grid.p_values**2, grid.q_values, indexing="ij")
+    ok_norm, ok_cond1, ok_disc, ok_eigen = conditions_all_cells(P2, QQ, 1e-9)
+    mask = (
+        (~ok_norm) * FailFlag.NORM_BOUND
+        + (~ok_cond1) * FailFlag.CONDITION1
+        + (~ok_disc) * FailFlag.DISCRIMINANT
+        + (ok_disc & ~ok_eigen) * FailFlag.EIGEN_POSITIVITY
+    )
+    assert (grid.admissible == (ok_norm & ok_cond1 & ok_disc & ok_eigen)).all()
+    assert (grid.fail_mask == mask).all()
+
+
+def test_admissible_matches_all_cells_reference(rng):
+    p2 = rng.uniform(0.0, 3.2, 10_000)
+    Q = rng.uniform(-3.2, 3.2, 10_000)
+    # the discriminant boundary Q = +-|P|^3/sqrt(3), and the p2 = 0 and p2 = 3 edges
+    edge_p2 = np.concatenate([np.linspace(0.0, 3.2, 161), [1e-12, 1e-6, 1.0, 3.0]])
+    edge_q = np.sqrt(edge_p2) ** 3 / np.sqrt(3.0)
+    small_q = np.array([0.0, 1e-12, 1e-6, 1e-5, 1e-4, 0.5, 3.0])
+    # the smallest root is -1 on Q = 1.5 (p2 - 1), from the tangent point p2 = 3/4
+    # to the pure corner; step just below it across the tolerance
+    line_p2, offset = np.meshgrid(
+        np.linspace(0.75, 3.0, 46), [0.0, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6, 1e-5]
+    )
+    line_p2, line_q = line_p2.ravel(), 1.5 * (line_p2.ravel() - 1.0) - offset.ravel()
+    p2 = np.concatenate([p2, edge_p2, edge_p2, np.zeros(14), np.full(14, 3.0), line_p2])
+    Q = np.concatenate([Q, edge_q, -edge_q, small_q, -small_q, small_q, -small_q, line_q])
+    flags = conditions_all_cells(p2, Q, 1e-9)
+    for i, (pv, qv) in enumerate(zip(p2.tolist(), Q.tolist())):
+        ok_norm, ok_cond1, ok_disc, ok_eigen = (bool(f[i]) for f in flags)
+        expected = [
+            flag
+            for flag, failed in (
+                (FailFlag.NORM_BOUND, not ok_norm),
+                (FailFlag.CONDITION1, not ok_cond1),
+                (FailFlag.DISCRIMINANT, not ok_disc),
+                (FailFlag.EIGEN_POSITIVITY, ok_disc and not ok_eigen),
+            )
+            if failed
+        ]
+        assert admissible(pv, qv) == (not expected, expected), (pv, qv)
+
+
+def test_region_csv_rows_all_codes_alternating():
+    # every one of the 512 (admissible, fail_mask) codes, a new code at every
+    # cell, plus one row with a single long run; the per-cell writer is the oracle
+    rows, cols = 9, 64
+    codes = np.full((rows, cols), 300)
+    codes[:-1] = (5 * np.arange(512)).reshape(8, cols) % 512
+    assert len(np.unique(codes)) == 512
+    assert (codes[:-1, 1:] != codes[:-1, :-1]).all()
+    q_values = np.linspace(-1.0, 1.0, cols)
+    q_values[[0, 1, 2]] = [-0.0, 1e-300, -2.5e17]
+    zero = np.zeros(4)
+    grid = RegionGrid(
+        p_values=np.linspace(0.0, 1.7, rows),
+        q_values=q_values,
+        admissible=(codes >> 8).astype(bool),
+        fail_mask=(codes & 0xFF).astype(np.uint8),
+        # shared columns, and columns equal in value but not in sign
+        boundaries={
+            "a": np.column_stack([zero, -zero]),
+            "b": np.column_stack([-zero, zero]),
+            "c": np.column_stack([zero, np.arange(4.0)]),
+        },
+    )
+    assert region_to_csv(grid) == region_to_csv_per_cell(grid)
+    assert boundaries_to_csv(grid) == boundaries_to_csv_per_point(grid)
 
 
 def test_region_scan_and_csv_rows_memory_at_1024():

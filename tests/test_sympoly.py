@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from quditkit import sampling
 from quditkit.sympoly import (
-    elementary_closed_forms,
     elementary_from_power,
     positivity_check,
     power_sums,
     trace_powers_from_traceless,
 )
+
+from closed_forms import elementary_closed_forms
 
 
 def esp_direct(eigs, k):
