@@ -39,7 +39,7 @@ from .basis import (
     cached_tensors,
 )
 from .qudit import QuditState, from_bloch
-from .sympoly import elementary_from_power, require_hermitian
+from .sympoly import elementary_from_power, require_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,13 +171,8 @@ def to_components(
     rho: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project a Hermitian unit-trace N^2 x N^2 matrix onto component form."""
-    rho = require_hermitian(rho, tol)
     N = basis.dim
-    if rho.shape != (N * N, N * N):
-        raise ValueError(f"matrix is {rho.shape}, expected {(N * N, N * N)}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace must be 1, got {tr!r}")
+    rho = require_density(rho, (N * N, N * N), tol)
     t = _project(rho, N).real
     return (N / 2.0) * t[1:, 0], (N / 2.0) * t[0, 1:], (N * N / 4.0) * t[1:, 1:]
 

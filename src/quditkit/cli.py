@@ -10,10 +10,9 @@ import argparse
 import contextlib
 import json
 import sys
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from pathlib import Path
-from typing import NoReturn
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -26,38 +25,14 @@ EXIT_INVALID_INPUT = 1
 EXIT_UNPHYSICAL = 2
 
 
-@dataclass
-class CommandConfig:
-    command: str
-    N: int = 3
-    tolerance: float = DEFAULT_TOL
-    seed: int = 0
-    output: str | None = None
-    fmt: str = "json"
-    resolution: int = 512
-    alpha_min: float | None = None
-    alpha_max: float | None = None
-    steps: int = 101
-    count: int = 1
-    input: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
-
-def _emit(config: CommandConfig, chunks: Iterable[str], suffix: str = "") -> None:
+def _emit(args: argparse.Namespace, chunks: Iterable[str], suffix: str = "") -> None:
     """Write the text chunks in order to the output file or to stdout.
 
     The file name gets the suffix before its extension.  On stdout a final
     newline is added when the text does not end with one.
     """
-    if config.output:
-        path = Path(config.output)
+    if args.output:
+        path = Path(args.output)
         if suffix:
             path = path.with_name(path.stem + suffix + path.suffix)
         sink = path.open("w")
@@ -68,7 +43,7 @@ def _emit(config: CommandConfig, chunks: Iterable[str], suffix: str = "") -> Non
         for chunk in chunks:
             out.write(chunk)
             last = chunk or last
-        if not config.output and not last.endswith("\n"):
+        if not args.output and not last.endswith("\n"):
             out.write("\n")
 
 
@@ -111,23 +86,23 @@ def _load_bipartite_state(path: str) -> bipartite.BipartiteState:
     return bipartite.from_components(int(data["N"]), x, y, omega)
 
 
-def cmd_basis(config: CommandConfig) -> int:
-    b = basis_mod.generate_basis(config.N)
-    _emit(config, [_json_dumps(b.to_json_dict(config.tolerance))])
+def cmd_basis(args: argparse.Namespace) -> int:
+    b = basis_mod.generate_basis(args.N)
+    _emit(args, [_json_dumps(b.to_json_dict(args.tolerance))])
     return EXIT_OK
 
 
-def cmd_tensors(config: CommandConfig) -> int:
-    b = basis_mod.generate_basis(config.N)
-    t = basis_mod.compute_tensors(b, config.tolerance)
-    _emit(config, [_json_dumps(t.to_json_dict(config.tolerance))])
+def cmd_tensors(args: argparse.Namespace) -> int:
+    b = basis_mod.generate_basis(args.N)
+    t = basis_mod.compute_tensors(b, args.tolerance)
+    _emit(args, [_json_dumps(t.to_json_dict(args.tolerance))])
     return EXIT_OK
 
 
-def cmd_check(config: CommandConfig) -> int:
-    state = _load_qudit_state(config.input)
+def cmd_check(args: argparse.Namespace) -> int:
+    state = _load_qudit_state(args.input)
     tensors = basis_mod.cached_tensors(state.dim)
-    report = sympoly.positivity_check(state.rho, config.tolerance)
+    report = sympoly.positivity_check(state.rho, args.tolerance)
     inv = qudit.invariants(state, tensors)
     pur = qudit.purity_residuals(state, tensors)
     out = {
@@ -137,45 +112,45 @@ def cmd_check(config: CommandConfig) -> int:
         "report": report.to_json_dict(),
         "invariants": inv.to_json_dict(),
         "purity": {"r_norm": pur.r_norm, "r_vec": pur.r_vec},
-        "entropy": qudit.entropy(state, config.tolerance) if report.psd else None,
+        "entropy": qudit.entropy(state, args.tolerance) if report.psd else None,
     }
-    _emit(config, [_json_dumps(out)])
+    _emit(args, [_json_dumps(out)])
     return EXIT_OK
 
 
-def cmd_entropy(config: CommandConfig) -> int:
-    state = _load_qudit_state(config.input)
+def cmd_entropy(args: argparse.Namespace) -> int:
+    state = _load_qudit_state(args.input)
     try:
-        S = qudit.entropy(state, config.tolerance)
+        S = qudit.entropy(state, args.tolerance)
     except qudit.UnphysicalStateError as exc:
-        _error(config.command, str(exc))
+        _error(args.command, str(exc))
         return EXIT_UNPHYSICAL
-    _emit(config, [_json_dumps({"N": state.dim, "entropy": S})])
+    _emit(args, [_json_dumps({"N": state.dim, "entropy": S})])
     return EXIT_OK
 
 
-def cmd_qutrit_region(config: CommandConfig) -> int:
-    grid = qutrit.region_scan(config.resolution, config.tolerance)
-    _emit(config, qutrit.region_csv_rows(grid))
-    if config.output:
-        _emit(config, [qutrit.boundaries_to_csv(grid)], suffix="_boundaries")
+def cmd_qutrit_region(args: argparse.Namespace) -> int:
+    grid = qutrit.region_scan(args.resolution, args.tolerance)
+    _emit(args, qutrit.region_csv_rows(grid))
+    if args.output:
+        _emit(args, [qutrit.boundaries_to_csv(grid)], suffix="_boundaries")
     return EXIT_OK
 
 
-def cmd_werner(config: CommandConfig) -> int:
-    report = bipartite.werner_consistency(config.N)
+def cmd_werner(args: argparse.Namespace) -> int:
+    report = bipartite.werner_consistency(args.N)
     rows = bipartite.werner_positivity_scan(
-        config.N, config.alpha_min, config.alpha_max, config.steps, config.tolerance
+        args.N, args.alpha_min, args.alpha_max, args.steps, args.tolerance
     )
-    if config.fmt == "csv":
-        _emit(config, [bipartite.werner_scan_csv(rows)])
+    if args.fmt == "csv":
+        _emit(args, [bipartite.werner_scan_csv(rows)])
     else:
-        _emit(config, [_json_dumps({"consistency": report.to_json_dict(), "scan": rows})])
+        _emit(args, [_json_dumps({"consistency": report.to_json_dict(), "scan": rows})])
     return EXIT_OK
 
 
-def cmd_convert(config: CommandConfig) -> int:
-    state = _load_bipartite_state(config.input)
+def cmd_convert(args: argparse.Namespace) -> int:
+    state = _load_bipartite_state(args.input)
     if state.dim != 2:
         raise ValueError("convert expects a two-qubit component state (N = 2)")
     P = su4.components_to_ququart(state.x, state.y, state.omega)
@@ -186,54 +161,55 @@ def cmd_convert(config: CommandConfig) -> int:
         float(np.abs(w2 - state.omega).max()),
     )
     out = {"N": 4, "bloch": P.tolist(), "roundtrip_residual": roundtrip}
-    _emit(config, [_json_dumps(out)])
+    _emit(args, [_json_dumps(out)])
     return EXIT_OK
 
 
-def cmd_verify_su4(config: CommandConfig) -> int:
+def cmd_verify_su4(args: argparse.Namespace) -> int:
     reports = su4.verify_pauli_dictionary()
     out = {
         "identities": reports,
         "all_ok": all(r["ok"] for r in reports),
         "dictionary": su4.dictionary_json(),
     }
-    _emit(config, [_json_dumps(out)])
+    _emit(args, [_json_dumps(out)])
     return EXIT_OK
 
 
-def cmd_random(config: CommandConfig) -> int:
-    rng = np.random.default_rng(config.seed)
+def cmd_random(args: argparse.Namespace) -> int:
+    basis = basis_mod.cached_basis(args.N)  # refuses N < 2 before sampling
+    rng = np.random.default_rng(args.seed)
     states = []
-    for _ in range(config.count):
-        rho = sampling.random_density_matrix(config.N, rng)
-        states.append(qudit.from_density_matrix(rho).to_json_dict(config.tolerance))
-    _emit(config, [_json_dumps({"seed": config.seed, "states": states})])
+    for _ in range(args.count):
+        rho = sampling.random_density_matrix(args.N, rng)
+        states.append(qudit.from_density_matrix(rho, basis).to_json_dict(args.tolerance))
+    _emit(args, [_json_dumps({"seed": args.seed, "states": states})])
     return EXIT_OK
-
-
-_COMMANDS = {
-    "basis": cmd_basis,
-    "tensors": cmd_tensors,
-    "check": cmd_check,
-    "entropy": cmd_entropy,
-    "qutrit-region": cmd_qutrit_region,
-    "werner": cmd_werner,
-    "convert": cmd_convert,
-    "verify-su4": cmd_verify_su4,
-    "random": cmd_random,
-}
 
 
 def _error(command: str | None, message: str) -> None:
     sys.stderr.write(_json_dumps({"command": command, "error": message}) + "\n")
 
 
+class _UsageError(Exception):
+    """An argparse error, with the subcommand it belongs to (None at the top level)."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors become a structured JSON error and exit 1, like invalid input."""
+    """Usage errors are raised to main(), which reports them like invalid input."""
 
     def error(self, message: str) -> NoReturn:
-        _error(self.prog.partition(" ")[2] or None, message)
-        sys.exit(EXIT_INVALID_INPUT)
+        raise _UsageError(self.prog.partition(" ")[2] or None, message)
+
+
+def _checked(kind: type, ok: Callable[[Any], bool], message: str) -> Callable[[str], Any]:
+    """An argparse type: kind(text), refused with message unless ok(value)."""
+    def parse(text: str):
+        if not ok(value := kind(text)):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,64 +219,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
-        """Register a subcommand with --output and the shared arguments named in flags."""
+    def add(name: str, handler, help_text: str, *flags: str) -> argparse.ArgumentParser:
+        """Register a subcommand, its handler, --output and the shared arguments in flags."""
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if "input" in flags:
             p.add_argument("input", help="path to a state JSON file")
         if "N" in flags:
             p.add_argument("--N", type=int, default=3, help="qudit dimension (default 3)")
         if "tolerance" in flags:
-            p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+            p.add_argument("--tolerance", default=DEFAULT_TOL,
+                           type=_checked(float, lambda v: v > 0, "tolerance must be > 0"))
         p.add_argument("--output", default=None, help="output file (default stdout)")
         return p
 
-    add("basis", "emit the generator matrices as JSON", "N", "tolerance")
-    add("tensors", "emit the sparse f/d structure tensors as JSON", "N", "tolerance")
-    add("check", "physicality, invariants and purity report for a state JSON",
+    add("basis", cmd_basis, "emit the generator matrices as JSON", "N", "tolerance")
+    add("tensors", cmd_tensors, "emit the sparse f/d structure tensors as JSON",
+        "N", "tolerance")
+    add("check", cmd_check, "physicality, invariants and purity report for a state JSON",
         "input", "tolerance")
-    add("entropy", "von Neumann entropy of a state JSON (exit 2 if unphysical)",
+    add("entropy", cmd_entropy, "von Neumann entropy of a state JSON (exit 2 if unphysical)",
         "input", "tolerance")
-    p = add("qutrit-region", "emit the admissible (|P|, Q) region as CSV", "tolerance")
+    p = add("qutrit-region", cmd_qutrit_region, "emit the admissible (|P|, Q) region as CSV",
+            "tolerance")
     p.add_argument("--resolution", type=int, default=512)
-    p = add("werner", "Werner-state consistency report and positivity scan",
+    p = add("werner", cmd_werner, "Werner-state consistency report and positivity scan",
             "N", "tolerance")
     p.add_argument("--alpha-min", type=float, default=None)
     p.add_argument("--alpha-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    add("convert", "map a two-qubit component state to the ququart Bloch vector", "input")
-    add("verify-su4", "check the 15 Pauli-product generator identities")
-    p = add("random", "sample random qudit states with the given seed", "N", "tolerance")
-    p.add_argument("--count", type=int, default=1)
+    add("convert", cmd_convert, "map a two-qubit component state to the ququart Bloch vector",
+        "input")
+    add("verify-su4", cmd_verify_su4, "check the 15 Pauli-product generator identities")
+    p = add("random", cmd_random, "sample random qudit states with the given seed",
+            "N", "tolerance")
+    p.add_argument("--count", default=1,
+                   type=_checked(int, lambda v: v >= 1, "count must be >= 1"))
     p.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def run(config: CommandConfig) -> int:
-    """Dispatch one parsed command; returns the process exit status."""
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line; returns the process exit status."""
+    command = None
     try:
+        args, unknown = build_parser().parse_known_args(argv)
+        command = args.command
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         # a finite but huge input overflows on the way; the non-finite result
         # is refused by _json_dumps, so numpy's warnings would only add noise
         # ahead of the structured error on stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[config.command](config)
+            return args.handler(args)
+    except _UsageError as exc:
+        command, message = exc.args
     except (ValueError, KeyError, ArithmeticError) as exc:
-        _error(config.command, str(exc))
-        return EXIT_INVALID_INPUT
-
-
-def main(argv: list[str] | None = None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        _error(args.command, f"unrecognized arguments: {' '.join(unknown)}")
-        return EXIT_INVALID_INPUT
-    try:
-        config = CommandConfig(**vars(args))
-    except ValueError as exc:
-        _error(args.command, str(exc))
-        return EXIT_INVALID_INPUT
-    return run(config)
+        message = str(exc)
+    _error(command, message)
+    return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

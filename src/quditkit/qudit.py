@@ -14,7 +14,7 @@ import numpy as np
 from .basis import (
     DEFAULT_TOL, GellMannBasis, StructureTensors, _readonly, cached_basis, require_unitary,
 )
-from .sympoly import require_hermitian
+from .sympoly import require_density
 
 
 class UnphysicalStateError(ValueError):
@@ -78,13 +78,8 @@ def from_bloch(N: int, P: np.ndarray, basis: GellMannBasis | None = None) -> Qud
 
 def to_bloch(rho: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
     """P_a = (N/2) Tr(rho L_a); requires Hermitian unit-trace input."""
-    rho = require_hermitian(rho, tol)
     N = basis.dim
-    if rho.shape != (N, N):
-        raise ValueError(f"matrix is {rho.shape}, basis has N={N}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace must be 1, got {tr!r}")
+    rho = require_density(rho, (N, N), tol)
     return (N / 2.0) * np.einsum("aij,ji->a", basis.generators, rho).real
 
 

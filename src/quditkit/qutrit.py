@@ -58,15 +58,22 @@ class RegionGrid:
     boundaries: dict[str, np.ndarray]  # name -> array of (|P|, Q) samples
 
 
+def _require_invariants(p2: float, Q: float) -> None:
+    if not np.isfinite((p2, Q)).all():
+        raise ValueError(f"|P|^2 and Q must be finite, got {p2!r} and {Q!r}")
+    if p2 < 0:
+        raise ValueError(f"|P|^2 must be >= 0, got {p2}")
+
+
 def spectrum(p2: float, Q: float, tol: float = DEFAULT_TOL) -> QutritSpectrum:
     """Roots of x^3 - p2 x - (2/3) Q = 0 in closed trigonometric form.
 
     |P| = 0 degenerates to the triple root 0 (chi reported as 0).  Raises
+    ValueError for NaN, infinite or negative input, and
     DiscriminantViolationError when sqrt(3)|Q|/|P|^3 exceeds 1 beyond the
     clamping slack.
     """
-    if p2 < 0:
-        raise ValueError(f"|P|^2 must be >= 0, got {p2}")
+    _require_invariants(p2, Q)
     if p2 == 0.0:
         if abs(Q) > tol:
             raise DiscriminantViolationError(f"|P| = 0 forces Q = 0, got Q={Q}")
@@ -125,12 +132,17 @@ def _conditions(
 
 
 def admissible(p2: float, Q: float, tol: float = DEFAULT_TOL) -> tuple[bool, list[FailFlag]]:
-    """Physicality verdict for the invariant pair, with the failed conditions."""
-    if p2 < 0:
-        raise ValueError(f"|P|^2 must be >= 0, got {p2}")
-    ok_norm, ok_cond1, ok_disc, ok_eigen = (
-        bool(v[0]) for v in _conditions(np.array([p2]), np.array([Q]), tol)
-    )
+    """Physicality verdict for the invariant pair, with the failed conditions.
+
+    Raises ValueError for NaN, infinite or negative input.  A huge finite
+    pair may overflow to inf inside the conditions, without a warning; it
+    is still inadmissible, but when both 3 Q^2 and |P|^6 overflow the
+    discriminant reads as passed.
+    """
+    _require_invariants(p2, Q)
+    with np.errstate(over="ignore"):
+        flags = _conditions(np.array([p2]), np.array([Q]), tol)
+    ok_norm, ok_cond1, ok_disc, ok_eigen = (bool(v[0]) for v in flags)
     failed = []
     if not ok_norm:
         failed.append(FailFlag.NORM_BOUND)

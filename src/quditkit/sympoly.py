@@ -48,6 +48,19 @@ def require_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return M
 
 
+def require_density(
+    rho: np.ndarray, shape: tuple[int, int] | None = None, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """rho as a complex array, checked Hermitian, of the given shape if any, unit-trace."""
+    rho = require_hermitian(rho, tol)
+    if shape is not None and rho.shape != shape:
+        raise ValueError(f"matrix is {rho.shape}, expected {shape}")
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > tol:
+        raise ValueError(f"trace must be 1, got {tr!r}")
+    return rho
+
+
 def power_sums(M: np.ndarray, K: int, tol: float = DEFAULT_TOL) -> list[float]:
     """p_k = Tr(M^k) for k = 1..K, by repeated multiplication."""
     if K < 1:
@@ -80,10 +93,7 @@ def positivity_check(rho: np.ndarray, tol: float = DEFAULT_TOL) -> SymPolyReport
     eigenvalue verdict must agree; a disagreement beyond tolerance raises
     ArithmeticError (numerical breakdown).
     """
-    rho = require_hermitian(rho, tol)
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace must be 1, got {tr!r}")
+    rho = require_density(rho, tol=tol)
     n = rho.shape[0]
     p = power_sums(rho, n, tol)
     e = elementary_from_power(p)

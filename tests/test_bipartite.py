@@ -541,6 +541,26 @@ def test_werner_consistency_matches_per_alpha_reference(N):
     assert (rep.min_residual, rep.argmin_alpha) == werner_minimum_per_alpha(N, t)
 
 
+def werner_residual_closed_form(N, alphas):
+    """|1 + 4a^2 (N^2 - 1)/N^2 - N^2| + |(N^2 - 2) a + 4a^2/N|: the scalar and matrix terms."""
+    a = np.asarray(alphas, dtype=float)
+    return np.abs(1.0 + 4.0 * a**2 * (N * N - 1) / N**2 - N * N) + np.abs(
+        (N * N - 2.0) * a + 4.0 * a**2 / N
+    )
+
+
+@pytest.mark.parametrize("N", range(2, 10))
+def test_werner_family_matches_closed_form(N):
+    alphas = np.linspace(-N, N, 10_001)
+    exact = werner_residual_closed_form(N, alphas)
+    assert np.all(np.abs(werner_residual_curve(N, alphas) - exact) <= 2e-15 * exact)
+    # minimum over [-N, N]: 0 at the singlet (N = 2), 7.5 at -3/2 (N = 3), N^2 - 1 at 0
+    min_exact, argmin_exact = {2: (0.0, -1.0), 3: (7.5, -1.5)}.get(N, (N * N - 1.0, 0.0))
+    rep = werner_consistency(N)
+    assert abs(rep.min_residual - min_exact) <= 1e-12 * max(1.0, min_exact)
+    assert abs(rep.argmin_alpha - argmin_exact) <= 1e-12
+
+
 def test_werner_consistency_memory_at_n7():
     # the per-alpha form builds a (10 000, 48, 48) array: 369 MB peak
     cached_tensors(7)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditkit.cli import CommandConfig, build_parser, main
+from quditkit.cli import build_parser, main
 from quditkit.qutrit import region_scan, region_to_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -307,7 +307,31 @@ def test_random_count_below_one_exits_one(capsys):
     assert "count" in json.loads(err)["error"]
 
 
-def test_readme_cli_lines_parse():
+@pytest.mark.parametrize(
+    "argv, command, message",
+    [
+        (("werner", "--N", "abc"), "werner", "argument --N: invalid int value"),
+        (("werner", "--N", "3", "--bogus"), "werner", "unrecognized arguments: --bogus"),
+        (("qutrit-region", "--format", "json"), "qutrit-region", "unrecognized arguments"),
+        (("random", "--count", "0"), "random", "argument --count: "),
+        (("werner", "--tolerance", "-1"), "werner", "argument --tolerance: "),
+        (("basis", "--tolerance", "nan"), "basis", "argument --tolerance: "),
+        (("basis", "--N", "1"), "basis", "qudit dimension must be >= 2"),
+        (("werner", "--N", "1"), "werner", "qudit dimension must be >= 2"),
+        (("random", "--N", "0"), "random", "qudit dimension must be >= 2"),
+        ((), None, "required: command"),
+    ],
+    ids=["bad-value", "unknown-flag", "flag-not-read", "count-0", "tolerance-negative",
+         "tolerance-nan", "basis-N-1", "werner-N-1", "random-N-0", "no-command"],
+)
+def test_usage_error_returns_one_in_process(capsys, argv, command, message):
+    code, out, err = run_cli(capsys, *argv)  # a SystemExit here fails the test
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["command"] == command and message in error["error"]
+
+
+def test_readme_cli_lines_parse(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
@@ -317,4 +341,13 @@ def test_readme_cli_lines_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
-        CommandConfig(**vars(args))
+    monkeypatch.chdir(tmp_path)
+    write_state(tmp_path, "state.json", {"N": 3, "bloch": [0.0] * 8})
+    write_state(tmp_path, "pair.json", {"N": 2, "x": [0.0] * 3, "y": [0.0] * 3,
+                                        "omega": np.zeros((3, 3)).tolist()})
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if "--output" in argv:
+            out = Path(argv[argv.index("--output") + 1]).read_text()
+        assert out.strip(), argv

@@ -345,3 +345,27 @@ def test_region_scan_refuses_grid_beyond_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("func", [admissible, spectrum], ids=["admissible", "spectrum"])
+@pytest.mark.parametrize(
+    "p2, Q",
+    [(np.nan, 0.0), (0.5, np.nan), (np.inf, 0.0), (0.5, -np.inf), (-np.inf, 0.0)],
+    ids=["nan-p2", "nan-Q", "inf-p2", "-inf-Q", "-inf-p2"],
+)
+def test_non_finite_invariants_refused(func, p2, Q):
+    with pytest.raises(ValueError, match="finite"):
+        func(p2, Q)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "p2, Q, expected",
+    [
+        (1e200, 0.0, [FailFlag.NORM_BOUND, FailFlag.CONDITION1, FailFlag.EIGEN_POSITIVITY]),
+        (1.0, 1e200, [FailFlag.DISCRIMINANT]),
+    ],
+    ids=["huge-p2", "huge-Q"],
+)
+def test_huge_finite_invariants_get_a_verdict_without_warnings(p2, Q, expected):
+    assert admissible(p2, Q) == (False, expected)

@@ -8,6 +8,8 @@ from quditkit.sympoly import (
     elementary_from_power,
     positivity_check,
     power_sums,
+    require_density,
+    require_hermitian,
     trace_powers_from_traceless,
 )
 
@@ -184,3 +186,17 @@ def test_report_json_schema(rng):
     rep = positivity_check(sampling.random_density_matrix(3, rng))
     d = rep.to_json_dict()
     assert set(d) == {"dim", "power_sums", "elementary", "psd", "min_eigenvalue"}
+
+
+def test_require_density_checks_hermitian_then_shape_then_trace(rng):
+    rho = sampling.random_density_matrix(3, rng)
+    assert require_density(rho, (3, 3)).tobytes() == require_hermitian(rho).tobytes()
+    skew = 2.0 * rho + 1j * np.triu(np.ones((3, 3)), 1)  # not Hermitian, trace 2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_density(skew, (4, 4))
+    with pytest.raises(ValueError, match="expected"):
+        require_density(2.0 * rho, (4, 4))
+    with pytest.raises(ValueError, match="trace must be 1"):
+        require_density(2.0 * rho, (3, 3))
+    with pytest.raises(ValueError, match="trace must be 1"):
+        require_density(2.0 * rho)
