@@ -25,6 +25,7 @@ alpha = -1 gives the singlet projector.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -511,7 +512,8 @@ def werner_positivity_scan(
     the eigenvalue (1 + 2 alpha (+-1 - 1/N)) / N^2 on the symmetric
     (multiplicity N(N+1)/2) and antisymmetric (N(N-1)/2) subspaces.  The
     power sums p_1..p_3 follow from it, e_2 and e_3 from Newton's identities,
-    and the purity residual from werner_residual_curve.
+    and the purity residual from werner_residual_curve.  A NaN or infinite
+    alpha bound is refused with ValueError.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -519,6 +521,8 @@ def werner_positivity_scan(
         alpha_min = -N / 2.0
     if alpha_max is None:
         alpha_max = N / 2.0
+    if not np.isfinite((alpha_min, alpha_max)).all():
+        raise ValueError(f"alpha bounds must be finite, got {alpha_min!r} and {alpha_max!r}")
     alphas = np.linspace(alpha_min, alpha_max, steps)
     eigs = (1.0 + 2.0 * alphas[:, None] * (np.array([1.0, -1.0]) - 1.0 / N)) / (N * N)
     mult = np.array([N * (N + 1) / 2.0, N * (N - 1) / 2.0])
@@ -543,12 +547,20 @@ def werner_positivity_scan(
 
 
 def werner_scan_csv(rows: list[dict]) -> str:
+    """werner_positivity_scan rows as CSV; a NaN or infinite cell raises ValueError."""
     cols = ["N", "alpha", "e2", "e3", "min_eigenvalue", "psd", "purity_residual"]
     lines = [",".join(cols)]
     for r in rows:
-        lines.append(
-            ",".join(
-                str(int(r[c])) if c in ("N", "psd") else repr(float(r[c])) for c in cols
-            )
-        )
+        cells = []
+        for c in cols:
+            if c in ("N", "psd"):
+                cells.append(str(int(r[c])))
+            elif math.isfinite(value := float(r[c])):
+                cells.append(repr(value))
+            else:
+                raise ValueError(
+                    f"result is not finite, the input is out of range: "
+                    f"{c} = {value!r} at alpha = {r['alpha']!r}"
+                )
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

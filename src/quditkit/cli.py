@@ -12,13 +12,18 @@ import json
 import sys
 from collections.abc import Callable, Iterable
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import TYPE_CHECKING, Any, NoReturn
 
 import numpy as np
 
+# every other module is imported by the handler that uses it, so a process
+# compiles only what its subcommand runs
 from . import basis as basis_mod
-from . import bipartite, qudit, qutrit, sampling, su4, sympoly
 from .basis import DEFAULT_TOL
+
+if TYPE_CHECKING:
+    from .bipartite import BipartiteState
+    from .qudit import QuditState
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -70,20 +75,24 @@ def _finite_array(data: dict, key: str) -> np.ndarray:
     return a
 
 
-def _load_qudit_state(path: str) -> qudit.QuditState:
+def _load_qudit_state(path: str) -> QuditState:
+    from .qudit import from_bloch
+
     data = _load_json(path)
     if "bloch" not in data or "N" not in data:
         raise ValueError("state JSON must contain fields 'N' and 'bloch'")
-    return qudit.from_bloch(int(data["N"]), _finite_array(data, "bloch"))
+    return from_bloch(int(data["N"]), _finite_array(data, "bloch"))
 
 
-def _load_bipartite_state(path: str) -> bipartite.BipartiteState:
+def _load_bipartite_state(path: str) -> BipartiteState:
+    from .bipartite import from_components
+
     data = _load_json(path)
     for key in ("N", "x", "y", "omega"):
         if key not in data:
             raise ValueError(f"bipartite state JSON must contain field {key!r}")
     x, y, omega = (_finite_array(data, key) for key in ("x", "y", "omega"))
-    return bipartite.from_components(int(data["N"]), x, y, omega)
+    return from_components(int(data["N"]), x, y, omega)
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
@@ -100,6 +109,8 @@ def cmd_tensors(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import qudit, sympoly
+
     state = _load_qudit_state(args.input)
     tensors = basis_mod.cached_tensors(state.dim)
     report = sympoly.positivity_check(state.rho, args.tolerance)
@@ -119,6 +130,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
+    from . import qudit
+
     state = _load_qudit_state(args.input)
     try:
         S = qudit.entropy(state, args.tolerance)
@@ -130,6 +143,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_qutrit_region(args: argparse.Namespace) -> int:
+    from . import qutrit
+
     grid = qutrit.region_scan(args.resolution, args.tolerance)
     _emit(args, qutrit.region_csv_rows(grid))
     if args.output:
@@ -138,6 +153,8 @@ def cmd_qutrit_region(args: argparse.Namespace) -> int:
 
 
 def cmd_werner(args: argparse.Namespace) -> int:
+    from . import bipartite
+
     report = bipartite.werner_consistency(args.N)
     rows = bipartite.werner_positivity_scan(
         args.N, args.alpha_min, args.alpha_max, args.steps, args.tolerance
@@ -150,6 +167,8 @@ def cmd_werner(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from . import su4
+
     state = _load_bipartite_state(args.input)
     if state.dim != 2:
         raise ValueError("convert expects a two-qubit component state (N = 2)")
@@ -166,6 +185,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_su4(args: argparse.Namespace) -> int:
+    from . import su4
+
     reports = su4.verify_pauli_dictionary()
     out = {
         "identities": reports,
@@ -177,6 +198,8 @@ def cmd_verify_su4(args: argparse.Namespace) -> int:
 
 
 def cmd_random(args: argparse.Namespace) -> int:
+    from . import qudit, sampling
+
     basis = basis_mod.cached_basis(args.N)  # refuses N < 2 before sampling
     rng = np.random.default_rng(args.seed)
     states = []

@@ -81,7 +81,9 @@ def spectrum(p2: float, Q: float, tol: float = DEFAULT_TOL) -> QutritSpectrum:
             roots=(0.0, 0.0, 0.0), chi=0.0, eigenvalues_rho=(1 / 3.0, 1 / 3.0, 1 / 3.0)
         )
     pnorm = np.sqrt(p2)
-    cos_chi = np.sqrt(3.0) * Q / pnorm**3
+    # |P|^3 overflows above p2 ~ 1e205; Q / inf = 0 is then the right limit
+    with np.errstate(over="ignore"):
+        cos_chi = np.sqrt(3.0) * Q / pnorm**3
     if abs(cos_chi) > 1.0 + CLAMP_SLACK:
         raise DiscriminantViolationError(
             f"sqrt(3) Q / |P|^3 = {cos_chi:.6g} lies outside [-1, 1]: no real spectrum"
@@ -113,7 +115,13 @@ def _conditions(
     Q = np.asarray(Q, dtype=float)
     ok_norm = p2 <= 3.0 + tol
     ok_cond1 = (2.0 / 3.0) * Q >= p2 - 1.0 - tol
-    ok_disc = 3.0 * Q**2 <= p2**3 + tol
+    three_q2, p6 = 3.0 * Q**2, p2**3
+    ok_disc = three_q2 <= p6 + tol
+    both = np.isinf(three_q2) & np.isinf(p6)
+    if both.any():
+        # inf <= inf would pass: where both sides overflow, compare logarithms
+        q_big, p2_big = (np.broadcast_to(a, both.shape)[both] for a in (Q, p2))
+        ok_disc[both] = np.log(3.0) + 2.0 * np.log(np.abs(q_big)) <= 3.0 * np.log(p2_big)
     p2_real, q_real = (np.broadcast_to(a, ok_disc.shape)[ok_disc] for a in (p2, Q))
     # smallest root where the spectrum is real; x3 = scale*cos(chi/3) is the
     # largest, the minimum is x1
@@ -135,9 +143,8 @@ def admissible(p2: float, Q: float, tol: float = DEFAULT_TOL) -> tuple[bool, lis
     """Physicality verdict for the invariant pair, with the failed conditions.
 
     Raises ValueError for NaN, infinite or negative input.  A huge finite
-    pair may overflow to inf inside the conditions, without a warning; it
-    is still inadmissible, but when both 3 Q^2 and |P|^6 overflow the
-    discriminant reads as passed.
+    pair may overflow to inf inside the conditions, without a warning; where
+    both 3 Q^2 and |P|^6 overflow, the discriminant compares their logarithms.
     """
     _require_invariants(p2, Q)
     with np.errstate(over="ignore"):

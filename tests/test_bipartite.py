@@ -22,6 +22,7 @@ from quditkit.bipartite import (
     werner_consistency,
     werner_positivity_scan,
     werner_residual_curve,
+    werner_scan_csv,
     z_matrix,
 )
 from quditkit.sympoly import elementary_from_power, positivity_check, power_sums
@@ -618,6 +619,24 @@ def test_werner_scan_matches_dense_spectrum(N):
         assert rep.psd == r["psd"]
         assert abs(rep.elementary[1] - r["e2"]) < 1e-12
         assert abs(rep.elementary[2] - r["e3"]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha_min, alpha_max",
+    [(np.nan, None), (None, np.inf), (-np.inf, 1.0)],
+    ids=["nan-min", "inf-max", "-inf-min"],
+)
+def test_werner_positivity_scan_refuses_non_finite_bounds(alpha_min, alpha_max):
+    with pytest.raises(ValueError, match="alpha bounds must be finite"):
+        werner_positivity_scan(3, alpha_min, alpha_max, 3)
+
+
+def test_werner_scan_csv_refuses_non_finite_cells():
+    rows = werner_positivity_scan(2, -1.0, 1.0, 3)
+    assert werner_scan_csv(rows).count("\n") == 4
+    for key, value in (("purity_residual", np.nan), ("e2", np.inf), ("alpha", -np.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            werner_scan_csv([rows[0], {**rows[1], key: value}])
 
 
 def test_werner_scan_alpha_zero_passes_everything():

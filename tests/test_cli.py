@@ -150,6 +150,23 @@ def test_werner_csv_scan(capsys):
     assert singlet_row[5] == "1"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--alpha-min", "nan", "--steps", "3", "--format", "csv"), "alpha bounds must be finite"),
+        (("--alpha-max", "inf", "--steps", "3", "--format", "csv"), "alpha bounds must be finite"),
+        (("--alpha-max=1e200", "--format", "csv"), "not finite"),
+        (("--alpha-max=1e200",), "not finite"),
+    ],
+    ids=["nan-min-csv", "inf-max-csv", "overflow-csv", "overflow-json"],
+)
+def test_werner_non_finite_scan_exits_one(capsys, argv, message):
+    code, out, err = run_cli(capsys, "werner", "--N", "3", *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["command"] == "werner" and message in error["error"]
+
+
 def test_convert_round_trip(capsys, tmp_path):
     payload = {
         "N": 2,

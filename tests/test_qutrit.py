@@ -364,8 +364,21 @@ def test_non_finite_invariants_refused(func, p2, Q):
     [
         (1e200, 0.0, [FailFlag.NORM_BOUND, FailFlag.CONDITION1, FailFlag.EIGEN_POSITIVITY]),
         (1.0, 1e200, [FailFlag.DISCRIMINANT]),
+        # 3 Q^2 = 3e310 and |P|^6 = 1e309 both overflow; the discriminant fails
+        (1e103, 1e155, [FailFlag.NORM_BOUND, FailFlag.DISCRIMINANT]),
+        # 3e320 and 1e600 both overflow; the discriminant holds
+        (1e200, 1e160, [FailFlag.NORM_BOUND, FailFlag.CONDITION1, FailFlag.EIGEN_POSITIVITY]),
     ],
-    ids=["huge-p2", "huge-Q"],
+    ids=["huge-p2", "huge-Q", "both-overflow-violated", "both-overflow-held"],
 )
 def test_huge_finite_invariants_get_a_verdict_without_warnings(p2, Q, expected):
     assert admissible(p2, Q) == (False, expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_of_huge_p2_without_warnings():
+    # |P|^3 = 1e450 overflows: cos(chi) = Q / inf = 0, its limit
+    s = spectrum(1e300, 0.0)
+    assert s.chi == np.pi / 2
+    # the roots are -|P|, 0 and |P|, up to roundoff on the scale of |P|
+    assert np.allclose(s.roots, (-1e150, 0.0, 1e150), rtol=1e-15, atol=1e135)
