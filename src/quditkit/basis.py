@@ -6,11 +6,12 @@ Conventions used throughout the package:
 * ordering is "sym-antisym-diag": all symmetric off-diagonal generators
   S_jk (j < k, lexicographic), then the antisymmetric A_jk in the same
   order, then the N-1 diagonal generators D_l;
-* f_abc = Tr([L_a, L_b] L_c) / 4i is totally antisymmetric,
-  d_abc = Tr({L_a, L_b} L_c) / 4 is totally symmetric, both real.
+* the product rule L_a L_b = (2/N) delta_ab 1 + (d_abc + i f_abc) L_c,
+  traced with L_c, gives Tr(L_a L_b L_c) = 2 (d_abc + i f_abc): f is totally
+  antisymmetric, d totally symmetric, both real.
 
-The structure tensors are stored once, in COO form: an (nnz, 3) index
-array and an (nnz,) value array per tensor.  Every generator has at most N
+The structure tensors are stored in COO form only: an (nnz, 3) index array
+and an (nnz,) value array per tensor.  Every generator has at most N
 nonzeros, so they are built and contracted in time that grows with the
 number of nonzeros (about 5 N^3 for d), not with the dense size (N^2-1)^3.
 
@@ -21,17 +22,16 @@ and d vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 SPARSE_CUTOFF = 1e-12
-# Largest dense array quditkit will allocate for one N.  It bounds the
-# (n, n, n) float64 view of f or d that StructureTensors will build (N = 17
-# needs 182 MiB, N = 18 needs 257 MiB and is refused) and the complex
-# (n, N, N) basis itself (N = 64 needs 256 MiB, N = 65 is refused).
+# Largest dense array quditkit will allocate.  It bounds the complex
+# (n, N, N) basis (N = 64 needs 256 MiB, N = 65 is refused) and the two
+# one-byte R x R arrays of the qutrit region grid (R <= 11585).
 DENSE_VIEW_MAX_BYTES = 256 * 2**20
 
 
@@ -74,9 +74,7 @@ class StructureTensors:
 
     ``f_index`` and ``d_index`` are read-only (nnz, 3) int arrays of (a, b, c)
     in lexicographic order; ``f_value`` and ``d_value`` hold the matching
-    entries.  Entries with |value| <= SPARSE_CUTOFF are absent.  ``f`` and
-    ``d`` are dense (n, n, n) views, built on first use and refused with
-    MemoryError above DENSE_VIEW_MAX_BYTES; no library path reads them.
+    entries.  Entries with |value| <= SPARSE_CUTOFF are absent.
     """
 
     dim: int
@@ -84,27 +82,6 @@ class StructureTensors:
     f_value: np.ndarray = field(repr=False)
     d_index: np.ndarray = field(repr=False)
     d_value: np.ndarray = field(repr=False)
-
-    @cached_property
-    def f(self) -> np.ndarray:
-        return self._dense(self.f_index, self.f_value)
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        return self._dense(self.d_index, self.d_value)
-
-    def _dense(self, index: np.ndarray, value: np.ndarray) -> np.ndarray:
-        n = self.dim * self.dim - 1
-        nbytes = 8 * n**3
-        if nbytes > DENSE_VIEW_MAX_BYTES:
-            raise MemoryError(
-                f"dense SU({self.dim}) structure tensor needs {nbytes / 2**20:.0f} MiB, "
-                f"more than DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB; "
-                "use the COO arrays (f_index, f_value, d_index, d_value)"
-            )
-        t = np.zeros((n, n, n))
-        t[tuple(index.T)] = value
-        return _readonly(t)
 
     def to_json_dict(self, tolerance: float = DEFAULT_TOL) -> dict:
         return {
@@ -246,32 +223,24 @@ def _triple_traces(basis: GellMannBasis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_tensors(basis: GellMannBasis, tol: float = DEFAULT_TOL) -> StructureTensors:
-    """Compute f_abc and d_abc from the generator traces, over their nonzeros only.
+    """d_abc = Re T_abc / 2 and f_abc = Im T_abc / 2, with T_abc = Tr(L_a L_b L_c).
 
-    Raises ValueError when any entry carries an imaginary residue above
-    ``tol`` (which would signal a broken basis).
+    T is summed over the generators' nonzeros only.  Reading f and d off T
+    needs Hermitian generators: raises ValueError when any generator
+    deviates from Hermitian, max |L - L^H|, by more than ``tol``.
     """
-    n = basis.size
-    t3_keys, t3 = _triple_traces(basis)
-    # T_abc and T_bac side by side, on the union of both supports
-    a, b, c = np.unravel_index(t3_keys, (n, n, n))
-    keys = np.sort(np.concatenate([t3_keys, (b * n + a) * n + c]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    a, b, c = np.unravel_index(keys, (n, n, n))
-    t = np.zeros(len(keys), dtype=complex)
-    t[np.searchsorted(keys, t3_keys)] = t3
-    t_ba = t[np.searchsorted(keys, (b * n + a) * n + c)]
-    anti = 0.25 * (t + t_ba)  # Tr({L_a,L_b} L_c)/4
-    comm = t - t_ba           # Tr([L_a,L_b] L_c)
-    residue = max(_max_abs(anti.imag), _max_abs(comm.real) / 4.0)
-    if residue > tol:
+    g, r, c, v = _nonzeros(basis.generators)
+    dev = _max_abs(basis.generators[g, c, r].conj() - v)
+    if dev > tol:
         raise ValueError(
-            f"structure tensors have imaginary residue {residue:.3e} > {tol:.3e}; "
-            "generator basis is inconsistent"
+            f"generators deviate from Hermitian by {dev:.3e} > {tol:.3e}, so f and d "
+            "would carry an imaginary residue; generator basis is inconsistent"
         )
-    index = np.column_stack([a, b, c])
+    n = basis.size
+    keys, t = _triple_traces(basis)
+    index = np.column_stack(np.unravel_index(keys, (n, n, n)))
     return StructureTensors(
-        basis.dim, *_sparse(index, comm.imag / 4.0), *_sparse(index, anti.real)
+        basis.dim, *_sparse(index, t.imag / 2.0), *_sparse(index, t.real / 2.0)
     )
 
 

@@ -387,9 +387,7 @@ def werner_alpha_omega(N: int) -> float:
     return -N * (N * N - 2.0) / 4.0
 
 
-def _werner_residual(
-    N: int, tensors: StructureTensors
-) -> Callable[[np.ndarray], np.ndarray]:
+def _werner_residual(N: int) -> Callable[[np.ndarray], np.ndarray]:
     """alphas -> total purity residual of werner(N, alpha), as a closure.
 
     The four residuals are polynomial in alpha, so the omega = identity
@@ -399,6 +397,7 @@ def _werner_residual(
     alpha^2 max|C_ij| exactly: the result is bit-identical to taking the
     max over the full (n, n) residual matrix.
     """
+    tensors = cached_tensors(N)  # refuses an N out of range before allocating
     n = N * N - 1
     eye = np.eye(n)
     # vector conditions: only the d-contraction survives, and it vanishes
@@ -423,46 +422,38 @@ def _werner_residual(
     return residual
 
 
-def werner_residual_curve(
-    N: int, alphas: np.ndarray, tensors: StructureTensors | None = None
-) -> np.ndarray:
+def werner_residual_curve(N: int, alphas: np.ndarray) -> np.ndarray:
     """Total purity residual of werner(N, alpha) for an array of alphas.
 
     The alpha-independent contractions are computed once per call, and
     each alpha then costs O(n); this matches
     purity_residuals_qudit(werner(N, a).state) pointwise.
     """
-    tensors = tensors if tensors is not None else cached_tensors(N)
-    return _werner_residual(N, tensors)(alphas)
+    return _werner_residual(N)(alphas)
 
 
-def werner_consistency(
-    N: int,
-    tensors: StructureTensors | None = None,
-    grid_points: int = 10_000,
-    refine_iters: int = 200,
-) -> WernerConsistencyReport:
+def werner_consistency(N: int) -> WernerConsistencyReport:
     """Both alpha determinations plus the scanned minimum purity residual.
 
-    The residual scan covers alpha in [-N, N] on a uniform grid and then
-    refines around the grid minimizer by golden-section search, certifying
-    a lower bound on the family's distance from purity (zero only at N=2).
+    The residual scan covers alpha in [-N, N] on a uniform 10 000-point grid
+    and then refines around the grid minimizer by up to 200 golden-section
+    steps, certifying a lower bound on the family's distance from purity
+    (zero only at N=2).
     The alpha-independent terms of the residual are computed once per
     call; the grid and every refinement step reuse them.
     """
     if N < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {N}")
-    tensors = tensors if tensors is not None else cached_tensors(N)
     a_norm = werner_alpha_norm(N)
     a_omega = werner_alpha_omega(N)
     consistent = min(abs(a_norm - a_omega), abs(-a_norm - a_omega)) < 1e-12
 
-    residual = _werner_residual(N, tensors)
-    alphas = np.linspace(-N, N, grid_points)
+    residual = _werner_residual(N)
+    alphas = np.linspace(-N, N, 10_000)
     totals = residual(alphas)
     k = int(np.argmin(totals))
     lo = alphas[max(k - 1, 0)]
-    hi = alphas[min(k + 1, grid_points - 1)]
+    hi = alphas[min(k + 1, len(alphas) - 1)]
 
     def curve(a: float) -> float:
         return float(residual(np.array([a]))[0])
@@ -472,7 +463,7 @@ def werner_consistency(
     c1 = b - gr * (b - a)
     c2 = a + gr * (b - a)
     f1, f2 = curve(c1), curve(c2)
-    for _ in range(refine_iters):
+    for _ in range(200):
         if f1 < f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - gr * (b - a)

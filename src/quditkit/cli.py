@@ -40,7 +40,10 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str], suffix: str = "") -> 
         path = Path(args.output)
         if suffix:
             path = path.with_name(path.stem + suffix + path.suffix)
-        sink = path.open("w")
+        try:
+            sink = path.open("w")
+        except OSError as exc:
+            raise ValueError(f"cannot write output file {str(path)!r}: {exc}") from exc
     else:
         sink = contextlib.nullcontext(sys.stdout)
     last = ""
@@ -63,13 +66,29 @@ def _json_dumps(obj) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read input file {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"input file {path!r} must hold a JSON object, not {type(data).__name__}")
+    return data
+
+
+def _dimension(data: dict) -> int:
+    """Field 'N' as an int: an integral number (3 or 3.0), nothing else."""
+    N = data["N"]
+    if isinstance(N, float) and N.is_integer():
+        return int(N)
+    if type(N) is not int:
+        raise ValueError(f"field 'N' must be an integer, got {json.dumps(N)}")
+    return N
 
 
 def _finite_array(data: dict, key: str) -> np.ndarray:
-    a = np.asarray(data[key], dtype=float)
+    try:
+        a = np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r} must hold numbers: {exc}") from exc
     if not np.isfinite(a).all():
         raise ValueError(f"field {key!r} contains a non-finite value (NaN or infinity)")
     return a
@@ -81,7 +100,7 @@ def _load_qudit_state(path: str) -> QuditState:
     data = _load_json(path)
     if "bloch" not in data or "N" not in data:
         raise ValueError("state JSON must contain fields 'N' and 'bloch'")
-    return from_bloch(int(data["N"]), _finite_array(data, "bloch"))
+    return from_bloch(_dimension(data), _finite_array(data, "bloch"))
 
 
 def _load_bipartite_state(path: str) -> BipartiteState:
@@ -92,7 +111,7 @@ def _load_bipartite_state(path: str) -> BipartiteState:
         if key not in data:
             raise ValueError(f"bipartite state JSON must contain field {key!r}")
     x, y, omega = (_finite_array(data, key) for key in ("x", "y", "omega"))
-    return from_components(int(data["N"]), x, y, omega)
+    return from_components(_dimension(data), x, y, omega)
 
 
 def cmd_basis(args: argparse.Namespace) -> int:

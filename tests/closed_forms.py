@@ -1,9 +1,21 @@
-"""Closed forms for the elementary symmetric polynomials of a unit-trace matrix.
+"""Test oracles: closed-form elementary symmetric polynomials, dense f and d.
 
-A test oracle for ``quditkit.sympoly.elementary_from_power``: e_1..e_6 written
-out in terms of the power sums p_k = Tr rho^k, independently of Newton's
-recursion.
+``elementary_closed_forms`` checks ``quditkit.sympoly.elementary_from_power``:
+e_1..e_6 written out in terms of the power sums p_k = Tr rho^k, independently
+of Newton's recursion.  ``dense_tensors`` rebuilds the (n, n, n) arrays of f
+and d from their COO entries, for einsum references at small N.
 """
+
+import numpy as np
+
+
+def dense_tensors(t) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (n, n, n) f and d of the quditkit StructureTensors t, n = N^2 - 1."""
+    n = t.dim * t.dim - 1
+    f, d = np.zeros((n, n, n)), np.zeros((n, n, n))
+    f[tuple(t.f_index.T)] = t.f_value
+    d[tuple(t.d_index.T)] = t.d_value
+    return f, d
 
 
 def elementary_closed_forms(p: list[float]) -> list[float]:

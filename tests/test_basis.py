@@ -7,6 +7,8 @@ from quditkit import sampling
 from quditkit.basis import (
     DENSE_VIEW_MAX_BYTES,
     SPARSE_CUTOFF,
+    _sparse,
+    _triple_traces,
     adjoint_of,
     cached_basis,
     cached_tensors,
@@ -15,6 +17,8 @@ from quditkit.basis import (
     verify_ff_dd_identity,
     verify_product_rule,
 )
+
+from closed_forms import dense_tensors
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -121,25 +125,27 @@ def test_su3_structure_constant_f123_standard_ordering():
     # the same value sits at the permuted indices of the canonical tensor:
     # s12 -> 0, a12 -> 3, d1 -> 6
     t = compute_tensors(cached_basis(3))
-    assert abs(t.f[0, 3, 6] - 1.0) < 1e-14
+    assert abs(dense_tensors(t)[0][0, 3, 6] - 1.0) < 1e-14
 
 
 def test_d_vanishes_for_su2(tensors):
     assert len(tensors[2].d_value) == 0
-    assert np.abs(tensors[2].d).max() == 0.0
+    assert np.abs(dense_tensors(tensors[2])[1]).max() == 0.0
 
 
 def test_compute_tensors_rejects_broken_basis(bases):
-    broken = bases[2].generators.copy()
-    broken[0] = broken[0] + 0.5j * np.eye(2)  # non-Hermitian generator
-    b = type(bases[2])(dim=2, generators=broken, labels=bases[2].labels)
-    with pytest.raises(ValueError, match="imaginary residue"):
-        compute_tensors(b)
+    # non-Hermitian sigma_x: 0.5i on the diagonal, or 1e-6i on one off-diagonal entry
+    for delta in (0.5j * np.eye(2), np.array([[0.0, 1e-6j], [0.0, 0.0]])):
+        broken = bases[2].generators.copy()
+        broken[0] = broken[0] + delta
+        b = type(bases[2])(dim=2, generators=broken, labels=bases[2].labels)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            compute_tensors(b)
 
 
 @pytest.mark.parametrize("N", range(2, 7))
 def test_tensor_symmetries_and_contractions(N, tensors):
-    f, d = tensors[N].f, tensors[N].d
+    f, d = dense_tensors(tensors[N])
     n = f.shape[0]
     # total antisymmetry / symmetry under any exchange
     assert np.abs(f + np.swapaxes(f, 0, 1)).max() < 1e-14
@@ -154,14 +160,15 @@ def test_tensor_symmetries_and_contractions(N, tensors):
 
 
 def test_su3_dd_contraction_value(tensors):
-    dd = np.einsum("ijk,ijn->kn", tensors[3].d, tensors[3].d)
+    d = dense_tensors(tensors[3])[1]
+    dd = np.einsum("ijk,ijn->kn", d, d)
     assert np.abs(dd - (5.0 / 3.0) * np.eye(8)).max() < 1e-12
 
 
 @pytest.mark.parametrize("N", (2, 3, 4))
 def test_ff_dd_identity_exhaustive(N, tensors):
     # exhaustive loop oracle on a subsample plus the vectorized full check
-    f, d = tensors[N].f, tensors[N].d
+    f, d = dense_tensors(tensors[N])
     n = f.shape[0]
     rng = np.random.default_rng(N)
     idx = rng.integers(0, n, size=(60, 4))
@@ -205,16 +212,17 @@ def test_adjoint_diag_phase_rotates_pauli_plane(bases):
 
 @pytest.mark.parametrize("N", (2, 3, 4))
 def test_adjoint_haar_properties(N, bases, tensors, rng):
-    b, t = bases[N], tensors[N]
+    b = bases[N]
+    f, d = dense_tensors(tensors[N])
     n = b.size
     for _ in range(25):
         U = sampling.haar_unitary(N, rng)
         R = adjoint_of(U, b).R
         assert np.abs(R.T @ R - np.eye(n)).max() < 1e-10
-        fcov = np.einsum("kql,kj,qp,lm->jpm", t.f, R, R, R, optimize=True)
-        dcov = np.einsum("kql,kj,qp,lm->jpm", t.d, R, R, R, optimize=True)
-        assert np.abs(fcov - t.f).max() < 1e-8
-        assert np.abs(dcov - t.d).max() < 1e-8
+        fcov = np.einsum("kql,kj,qp,lm->jpm", f, R, R, R, optimize=True)
+        dcov = np.einsum("kql,kj,qp,lm->jpm", d, R, R, R, optimize=True)
+        assert np.abs(fcov - f).max() < 1e-8
+        assert np.abs(dcov - d).max() < 1e-8
 
 
 def test_adjoint_group_property(bases, rng):
@@ -240,7 +248,7 @@ def test_json_export_schema(bases, tensors):
     f = np.zeros((8, 8, 8))
     for r in tj["f"]:
         f[r["a"], r["b"], r["c"]] = r["value"]
-    assert np.abs(f - tensors[3].f).max() < 1e-12
+    assert np.abs(f - dense_tensors(tensors[3])[0]).max() < 1e-12
 
 
 def trace_tensors_oracle(basis):
@@ -265,6 +273,36 @@ def test_coo_tensors_match_trace_oracle(N):
         assert not index.flags.writeable and not value.flags.writeable
 
 
+def paired_tensors(basis):
+    """Reference COO f and d as Tr([L_a,L_b] L_c)/4i and Tr({L_a,L_b} L_c)/4.
+
+    T_abc and T_bac are paired on the union of both supports (sort, dedupe,
+    searchsorted).  For Hermitian generators Re T_bac = Re T_abc and
+    Im T_bac = -Im T_abc bit for bit, so this must give the same bytes as
+    reading f and d off T_abc alone.
+    """
+    n = basis.size
+    t3_keys, t3 = _triple_traces(basis)
+    a, b, c = np.unravel_index(t3_keys, (n, n, n))
+    keys = np.sort(np.concatenate([t3_keys, (b * n + a) * n + c]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    a, b, c = np.unravel_index(keys, (n, n, n))
+    t = np.zeros(len(keys), dtype=complex)
+    t[np.searchsorted(keys, t3_keys)] = t3
+    t_ba = t[np.searchsorted(keys, (b * n + a) * n + c)]
+    index = np.column_stack([a, b, c])
+    return (*_sparse(index, (t - t_ba).imag / 4.0), *_sparse(index, (0.25 * (t + t_ba)).real))
+
+
+@pytest.mark.parametrize("N", [*range(2, 17), 24, 32])
+def test_compute_tensors_bit_identical_to_paired_build(N):
+    basis = cached_basis(N)
+    t = compute_tensors(basis)
+    got = (t.f_index, t.f_value, t.d_index, t.d_value)
+    for a, b in zip(got, paired_tensors(basis)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("N", (16, 32))
 def test_coo_sum_rules_at_large_n(N):
     t = cached_tensors(N)
@@ -275,23 +313,6 @@ def test_coo_sum_rules_at_large_n(N):
     assert np.abs(np.bincount(c, t.d_value**2, n) - (N * N - 4.0) / N).max() < 1e-10
     diag = a == b
     assert np.abs(np.bincount(c[diag], t.d_value[diag], n)).max() < 1e-10
-
-
-def test_dense_views_refused_above_budget():
-    t = cached_tensors(32)
-    assert 8 * (32 * 32 - 1) ** 3 > DENSE_VIEW_MAX_BYTES == 256 * 2**20
-    with pytest.raises(MemoryError, match="DENSE_VIEW_MAX_BYTES"):
-        t.d
-    with pytest.raises(MemoryError, match="DENSE_VIEW_MAX_BYTES"):
-        t.f
-
-
-def test_dense_views_rebuild_the_coo_entries(tensors):
-    t = tensors[4]
-    assert not t.d.flags.writeable
-    assert t.d is t.d
-    assert (t.d[tuple(t.d_index.T)] == t.d_value).all()
-    assert np.count_nonzero(t.d) == len(t.d_value)
 
 
 def test_basis_refused_above_budget():

@@ -27,6 +27,8 @@ from quditkit.bipartite import (
 )
 from quditkit.sympoly import elementary_from_power, positivity_check, power_sums
 
+from closed_forms import dense_tensors
+
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
@@ -536,9 +538,9 @@ def werner_minimum_per_alpha(N, tensors, grid_points=10_000, refine_iters=200):
 def test_werner_consistency_matches_per_alpha_reference(N):
     t = cached_tensors(N)
     alphas = np.linspace(-N, N, 10_000)
-    got = werner_residual_curve(N, alphas, t)
+    got = werner_residual_curve(N, alphas)
     assert got.tobytes() == werner_residual_curve_per_alpha(N, alphas, t).tobytes()
-    rep = werner_consistency(N, t)
+    rep = werner_consistency(N)
     assert (rep.min_residual, rep.argmin_alpha) == werner_minimum_per_alpha(N, t)
 
 
@@ -677,7 +679,7 @@ def test_no_pure_werner_beyond_qubits(N):
 def dense_purity_residuals(state, t):
     N = state.dim
     x, y, w = state.x, state.y, state.omega
-    d, f = t.d, t.f
+    f, d = dense_tensors(t)
     c = N * N - 2.0
     r_sum = 1.0 + (2.0 / N) * (x @ x + y @ y) + (4.0 / N**2) * np.sum(w * w) - N * N
     vx = (
@@ -700,16 +702,17 @@ def dense_purity_residuals(state, t):
 def dense_trace_identity_residual(state, t):
     N = state.dim
     x, y, w = state.x, state.y, state.omega
-    z = np.einsum("imk,mk->i", t.d, w)
+    d = dense_tensors(t)[1]
+    z = np.einsum("imk,mk->i", d, w)
     ws = w + w.T
-    quad = 0.5 * np.einsum("imk,inl,mn,kl->", t.d, t.d, ws, ws, optimize=True)
+    quad = 0.5 * np.einsum("imk,inl,mn,kl->", d, d, ws, ws, optimize=True)
     trw, trw2 = np.trace(w), np.trace(w @ w)
     rhs = 2.0 * x @ y + 2.0 * (x + y) @ z + quad - (2.0 / N) * (trw**2 - trw2) - z @ z
     return abs((N * N - 2.0) * trw - rhs)
 
 
 def dense_werner_residual_curve(N, alphas, t):
-    d, f = t.d, t.f
+    f, d = dense_tensors(t)
     n = N * N - 1
     eye = np.eye(n)
     r_sum = np.abs(1.0 + (4.0 / N**2) * alphas**2 * n - N * N)
@@ -734,4 +737,4 @@ def test_sparse_pair_contractions_match_dense_einsum(rng, N):
         ) <= 1e-12
     alphas = np.linspace(-N, N, 41)
     ref = dense_werner_residual_curve(N, alphas, t)
-    assert np.abs(werner_residual_curve(N, alphas, t) - ref).max() <= 1e-12
+    assert np.abs(werner_residual_curve(N, alphas) - ref).max() <= 1e-12

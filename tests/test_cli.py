@@ -301,6 +301,43 @@ def test_basis_beyond_memory_budget_exits_one(tmp_path):
     assert error["command"] == "basis" and "DENSE_VIEW_MAX_BYTES" in error["error"]
 
 
+ZERO_PAIR = {"N": 2, "x": [0.0] * 3, "y": [0.0] * 3, "omega": np.zeros((3, 3)).tolist()}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (("check", "in.json"), 3, "must hold a JSON object"),
+        (("entropy", "in.json"), "N bloch", "must hold a JSON object"),
+        (("convert", "in.json"), ["N", "x", "y", "omega"], "must hold a JSON object"),
+        (("check", "in.json"), {"N": None, "bloch": [0.0] * 8}, "field 'N'"),
+        (("entropy", "in.json"), {"N": 3.7, "bloch": [0.0] * 8}, "field 'N'"),
+        (("convert", "in.json"), {**ZERO_PAIR, "N": None}, "field 'N'"),
+        (("check", "in.json"), {"N": 3, "bloch": {"a": 1}}, "field 'bloch'"),
+        (("entropy", "in.json"), {"N": 3, "bloch": [{"a": 1}] * 8}, "field 'bloch'"),
+        (("check", "in.json"), {"N": 3, "bloch": "abc"}, "field 'bloch'"),
+        (("entropy", "in.json"), {"N": 3, "bloch": [[0.0, 1.0], [0.0]]}, "field 'bloch'"),
+        (("convert", "in.json"), {**ZERO_PAIR, "x": {"a": 1}}, "field 'x'"),
+        (("basis", "--N", "2", "--output", "missing/x.json"), None, "cannot write output file"),
+        (("check", "in.json", "--output", "missing/x.json"), {"N": 3, "bloch": [0.0] * 8},
+         "cannot write output file"),
+        (("qutrit-region", "--resolution", "8", "--output", "outdir"), None,
+         "cannot write output file"),
+    ],
+    ids=["top-int", "top-string", "top-list", "N-null", "N-fraction", "pair-N-null",
+         "bloch-object", "bloch-objects", "bloch-string", "bloch-ragged", "x-object", "output-missing-dir",
+         "check-output-missing-dir", "output-is-dir"],
+)
+def test_malformed_input_or_output_exits_one_with_json_error(tmp_path, argv, payload, message):
+    (tmp_path / "outdir").mkdir()
+    if payload is not None:
+        write_state(tmp_path, "in.json", payload)
+    proc = run_cli_subprocess(tmp_path, *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = json.loads(proc.stderr)  # one JSON object, no traceback
+    assert error["command"] == argv[0] and message in error["error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

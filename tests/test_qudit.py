@@ -16,6 +16,8 @@ from quditkit.qudit import (
 )
 from quditkit.sympoly import elementary_from_power, power_sums
 
+from closed_forms import dense_tensors
+
 
 def test_from_bloch_zero_is_maximally_mixed():
     st = from_bloch(4, np.zeros(15))
@@ -218,7 +220,7 @@ def test_sparse_d_contractions_match_dense_einsum(N, seed):
     P = np.random.default_rng(seed).uniform(-1.0, 1.0, N * N - 1)
     t = cached_tensors(N)
     state = from_bloch(N, P)
-    q = np.einsum("abc,b,c->a", t.d, P, P)
+    q = np.einsum("abc,b,c->a", dense_tensors(t)[1], P, P)
     inv = invariants(state, t)
     assert np.abs(np.array(inv.q) - q).max() <= 1e-12
     assert abs(inv.Q - P @ q) <= 1e-12 * max(1.0, abs(P @ q))
