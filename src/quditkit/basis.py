@@ -52,6 +52,11 @@ class GellMannBasis:
     def size(self) -> int:
         return self.dim * self.dim - 1
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The generators as one (N^2-1, N^2) matrix G[a, i N + j] = L_a[i, j] (a view)."""
+        return self.generators.reshape(self.size, self.dim * self.dim)
+
     def to_json_dict(self, tolerance: float = DEFAULT_TOL) -> dict:
         """JSON export: header plus one {re, im} record per generator."""
         return {
@@ -323,9 +328,9 @@ def adjoint_of(U: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL) ->
     U = require_unitary(U, tol)
     if U.shape[0] != basis.dim:
         raise ValueError(f"unitary is {U.shape[0]}x{U.shape[0]}, basis has N={basis.dim}")
-    lam = basis.generators
-    conj = np.einsum("ij,ajk,lk->ail", U, lam, U.conj())
-    R = 0.5 * np.einsum("kij,aji->ka", lam, conj)
+    conj = U @ basis.generators @ U.conj().T
+    # R_ka = Tr(L_k U L_a U^dag) / 2 = sum_ij G[k, i N + j] (U L_a U^dag)[j, i] / 2
+    R = 0.5 * (basis.matrix @ conj.transpose(0, 2, 1).reshape(basis.size, -1).T)
     residue = float(np.abs(R.imag).max())
     if residue > tol:
         raise ValueError(f"adjoint matrix has imaginary residue {residue:.3e}")

@@ -131,10 +131,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     from . import qudit, sympoly
 
     state = _load_qudit_state(args.input)
-    tensors = basis_mod.cached_tensors(state.dim)
     report = sympoly.positivity_check(state.rho, args.tolerance)
-    inv = qudit.invariants(state, tensors)
-    pur = qudit.purity_residuals(state, tensors)
+    inv = qudit.invariants(state)
+    pur = qudit.purity_residuals(state)
     out = {
         "N": state.dim,
         "bloch": state.bloch.tolist(),

@@ -3,6 +3,14 @@
 A dimension-N qudit is parametrized as rho = (1/N)(1 + P_a L_a) with the
 generators of :mod:`quditkit.basis`.  The Bloch vector is kept unrescaled,
 so |P|^2 = N(N-1)/2 for a pure state (the norm grows with N).
+
+Every conversion goes through one matrix, the generator stack viewed as
+G[a, i N + j] = L_a[i, j] of shape (N^2-1, N^2): rho = (1 + P G)/N and
+P_a = (N/2) Tr(rho L_a) = (N/2) Re(G vec(rho^T))_a are one GEMV each.  The
+invariants need no structure tensor either.  With A = P_a L_a = N rho - 1,
+the product rule L_a L_b = (2/N) delta_ab 1 + (d_abc + i f_abc) L_c gives
+A^2 = (2/N)|P|^2 1 + d_abc P_a P_b L_c (the f-term cancels, f being
+antisymmetric in a, b), so q_c = d_abc P_a P_b = Tr(A^2 L_c)/2.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ def from_bloch(N: int, P: np.ndarray, basis: GellMannBasis | None = None) -> Qud
     P = np.asarray(P, dtype=float)
     if P.shape != (N * N - 1,):
         raise ValueError(f"Bloch vector must have length {N * N - 1}, got shape {P.shape}")
-    rho = (np.eye(N, dtype=complex) + np.einsum("a,aij->ij", P, basis.generators)) / N
+    rho = (np.eye(N, dtype=complex) + (P @ basis.matrix).reshape(N, N)) / N
     return QuditState(dim=N, bloch=_readonly(P.copy()), rho=_readonly(rho))
 
 
@@ -80,7 +88,7 @@ def to_bloch(rho: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL) ->
     """P_a = (N/2) Tr(rho L_a); requires Hermitian unit-trace input."""
     N = basis.dim
     rho = require_density(rho, (N, N), tol)
-    return (N / 2.0) * np.einsum("aij,ji->a", basis.generators, rho).real
+    return (N / 2.0) * (basis.matrix @ rho.T.ravel()).real
 
 
 def from_density_matrix(
@@ -90,17 +98,25 @@ def from_density_matrix(
     return from_bloch(basis.dim, to_bloch(rho, basis, tol), basis)
 
 
-def _q(state: QuditState, tensors: StructureTensors) -> np.ndarray:
-    """q_a = d_abc P_b P_c, summed over the nonzeros of d."""
-    if tensors.dim != state.dim:
+def _q(state: QuditState, tensors: StructureTensors | None) -> np.ndarray:
+    """q_a = d_abc P_b P_c = Tr(A^2 L_a) / 2 with A = N rho - 1; no f or d is read.
+
+    The product rule gives A^2 = (2/N)|P|^2 1 + d_abc P_a P_b L_c, so q is one
+    N x N product and one GEMV with the generator matrix.  ``tensors`` is
+    ignored apart from its dimension (kept for callers that still pass it).
+    """
+    N = state.dim
+    if tensors is not None and tensors.dim != N:
         raise ValueError("tensors do not match the state dimension")
-    P = state.bloch
-    a, b, c = tensors.d_index.T
-    return np.bincount(a, tensors.d_value * P[b] * P[c], minlength=len(P))
+    A = N * state.rho - np.eye(N)
+    return 0.5 * (cached_basis(N).matrix @ (A @ A).T.ravel()).real
 
 
-def invariants(state: QuditState, tensors: StructureTensors) -> InvariantSet:
-    """All four invariants; a pure state has p2 = N(N-1)/2, Q = N(N-1)(N-2)/2."""
+def invariants(state: QuditState, tensors: StructureTensors | None = None) -> InvariantSet:
+    """All four invariants; a pure state has p2 = N(N-1)/2, Q = N(N-1)(N-2)/2.
+
+    ``tensors`` is ignored apart from a dimension check.
+    """
     q = _q(state, tensors)
     P = state.bloch
     p2 = float(P @ P)
@@ -108,7 +124,10 @@ def invariants(state: QuditState, tensors: StructureTensors) -> InvariantSet:
     return InvariantSet(p2=p2, Q=Q, q=tuple(float(v) for v in q), quartic=float(q @ q))
 
 
-def purity_residuals(state: QuditState, tensors: StructureTensors) -> PurityResiduals:
+def purity_residuals(
+    state: QuditState, tensors: StructureTensors | None = None
+) -> PurityResiduals:
+    """Both pure-state residuals; ``tensors`` is ignored apart from a dimension check."""
     q = _q(state, tensors)
     N = state.dim
     P = state.bloch

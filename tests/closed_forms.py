@@ -1,9 +1,15 @@
-"""Test oracles: closed-form elementary symmetric polynomials, dense f and d.
+"""Test oracles: closed-form elementary symmetric polynomials, dense f and d,
+and the single-qudit maps written as explicit contractions.
 
 ``elementary_closed_forms`` checks ``quditkit.sympoly.elementary_from_power``:
 e_1..e_6 written out in terms of the power sums p_k = Tr rho^k, independently
 of Newton's recursion.  ``dense_tensors`` rebuilds the (n, n, n) arrays of f
 and d from their COO entries, for einsum references at small N.
+
+``coo_q`` sums q_a = d_abc P_b P_c over the COO entries of d, and
+``einsum_from_bloch``, ``einsum_to_bloch`` and ``einsum_adjoint`` contract the
+(N^2-1, N, N) generator stack index by index.  quditkit reads the same
+quantities off one product with the (N^2-1, N^2) generator matrix instead.
 """
 
 import numpy as np
@@ -16,6 +22,30 @@ def dense_tensors(t) -> tuple[np.ndarray, np.ndarray]:
     f[tuple(t.f_index.T)] = t.f_value
     d[tuple(t.d_index.T)] = t.d_value
     return f, d
+
+
+def coo_q(P: np.ndarray, t) -> np.ndarray:
+    """q_a = d_abc P_b P_c, summed over the nonzeros of d in the StructureTensors t."""
+    a, b, c = t.d_index.T
+    return np.bincount(a, t.d_value * P[b] * P[c], minlength=len(P))
+
+
+def einsum_from_bloch(P: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """rho = (1 + P_a L_a) / N."""
+    N = generators.shape[1]
+    return (np.eye(N, dtype=complex) + np.einsum("a,aij->ij", P, generators)) / N
+
+
+def einsum_to_bloch(rho: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """P_a = (N/2) Tr(rho L_a)."""
+    N = generators.shape[1]
+    return (N / 2.0) * np.einsum("aij,ji->a", generators, rho).real
+
+
+def einsum_adjoint(U: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """R_ka = Tr(L_k U L_a U^dag) / 2 (real part)."""
+    conj = np.einsum("ij,ajk,lk->ail", U, generators, U.conj(), optimize=True)
+    return 0.5 * np.einsum("kij,aji->ka", generators, conj, optimize=True).real
 
 
 def elementary_closed_forms(p: list[float]) -> list[float]:

@@ -225,6 +225,14 @@ def test_adjoint_haar_properties(N, bases, tensors, rng):
         assert np.abs(dcov - d).max() < 1e-8
 
 
+def test_adjoint_orthogonal_at_n16():
+    rng = np.random.default_rng(16)
+    b = cached_basis(16)
+    for _ in range(3):
+        R = adjoint_of(sampling.haar_unitary(16, rng), b).R
+        assert np.abs(R.T @ R - np.eye(b.size)).max() <= 1e-12
+
+
 def test_adjoint_group_property(bases, rng):
     for N in (2, 3, 4):
         U = sampling.haar_unitary(N, rng)

@@ -294,6 +294,43 @@ def test_check_overflow_stderr_is_one_json_object(tmp_path):
     assert error["command"] == "check" and "not finite" in error["error"]
 
 
+CHECK_MEMORY = """
+import json, tracemalloc
+from quditkit import basis
+from quditkit.cli import main
+
+assert basis.cached_basis.cache_info().currsize == 0
+tracemalloc.start()
+code = main(["check", "state32.json", "--output", "out.json"])
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"code": code, "peak": peak,
+                  "tensors": basis.cached_tensors.cache_info().currsize}))
+"""
+
+
+def test_check_builds_no_structure_tensors(tmp_path):
+    # f and d at N = 32 alone peak at about 83 MiB; the basis (16 MiB) is
+    # built inside the measurement
+    from quditkit import sampling
+    from quditkit.basis import cached_basis
+    from quditkit.qudit import to_bloch
+
+    rho = sampling.random_density_matrix(32, np.random.default_rng(32))
+    write_state(tmp_path, "state32.json",
+                {"N": 32, "bloch": to_bloch(rho, cached_basis(32)).tolist()})
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", CHECK_MEMORY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    assert out["tensors"] == 0
+    assert out["peak"] < 40 * 2**20
+    assert json.loads((tmp_path / "out.json").read_text())["physical"] is True
+
+
 def test_basis_beyond_memory_budget_exits_one(tmp_path):
     proc = run_cli_subprocess(tmp_path, "basis", "--N", "100")
     assert proc.returncode == 1 and proc.stdout == ""

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from quditkit import sampling
-from quditkit.basis import cached_tensors
+from quditkit.basis import adjoint_of, cached_basis, cached_tensors
 from quditkit.qudit import (
     UnphysicalStateError,
     elementary_from_invariants,
     entropy,
     from_bloch,
+    from_density_matrix,
     invariants,
     purity_residuals,
     to_bloch,
@@ -16,7 +17,9 @@ from quditkit.qudit import (
 )
 from quditkit.sympoly import elementary_from_power, power_sums
 
-from closed_forms import dense_tensors
+from closed_forms import (
+    coo_q, dense_tensors, einsum_adjoint, einsum_from_bloch, einsum_to_bloch,
+)
 
 
 def test_from_bloch_zero_is_maximally_mixed():
@@ -227,3 +230,77 @@ def test_sparse_d_contractions_match_dense_einsum(N, seed):
     assert abs(inv.quartic - q @ q) <= 1e-12 * max(1.0, q @ q)
     r_vec = np.abs((1.0 - 2.0 / N) * P - q / N).max()
     assert abs(purity_residuals(state, t).r_vec - r_vec) <= 1e-12
+
+
+def _density_matrices(N, rng):
+    """Seeded unit-trace Hermitian inputs: mixed, pure, rank 2 and indefinite."""
+    return [
+        sampling.random_density_matrix(N, rng),
+        sampling.random_density_matrix(N, rng, rank=1),
+        sampling.random_density_matrix(N, rng, rank=2),
+        sampling.random_hermitian_unit_trace(N, rng),
+    ]
+
+
+def _bloch_vectors(N, rng):
+    generators = cached_basis(N).generators
+    Ps = [einsum_to_bloch(rho, generators) for rho in _density_matrices(N, rng)]
+    return Ps + [rng.uniform(-1.0, 1.0, N * N - 1)]
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_invariants_match_coo_contraction(N):
+    # q, Q and quartic are of degree 2, 3 and 4 in P: each is compared
+    # relative to max(1, |P|^2) raised to half its degree
+    rng = np.random.default_rng([N, 11])
+    t = cached_tensors(N)
+    for P in _bloch_vectors(N, rng):
+        state = from_bloch(N, P)
+        q = coo_q(P, t)
+        scale = max(1.0, P @ P)
+        inv = invariants(state)
+        assert np.abs(np.array(inv.q) - q).max() <= 1e-14 * scale
+        assert abs(inv.Q - P @ q) <= 1e-14 * scale**1.5
+        assert abs(inv.quartic - q @ q) <= 1e-14 * scale**2
+        r_vec = np.abs((1.0 - 2.0 / N) * P - q / N).max()
+        assert abs(purity_residuals(state).r_vec - r_vec) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("N", (2, 3, 5, 8, 11, 16, 24, 32))
+def test_maps_match_einsum_contractions(N):
+    rng = np.random.default_rng([N, 12])
+    b = cached_basis(N)
+    for rho in _density_matrices(N, rng):
+        P_ref = einsum_to_bloch(rho, b.generators)
+        P = to_bloch(rho, b)
+        assert np.abs(P - P_ref).max() <= 1e-14 * max(1.0, np.abs(P_ref).max())
+        rho_ref = einsum_from_bloch(P, b.generators)
+        assert np.abs(from_bloch(N, P, b).rho - rho_ref).max() <= 1e-14 * max(
+            1.0, np.abs(rho_ref).max())
+    U = sampling.haar_unitary(N, rng)
+    assert np.abs(adjoint_of(U, b).R - einsum_adjoint(U, b.generators)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("N", (8, 16, 32))
+def test_invariants_unchanged_by_haar_conjugation(N):
+    rng = np.random.default_rng([N, 13])
+    b = cached_basis(N)
+    for rho in _density_matrices(N, rng)[:3]:
+        st = from_density_matrix(rho, b)
+        st2 = transform(st, sampling.haar_unitary(N, rng), b)
+        i1, i2 = invariants(st), invariants(st2)
+        scale = max(1.0, i1.p2)
+        assert abs(i1.p2 - i2.p2) <= 1e-12 * scale
+        assert abs(i1.Q - i2.Q) <= 1e-12 * scale**1.5
+        assert abs(i1.quartic - i2.quartic) <= 1e-12 * scale**2
+
+
+@pytest.mark.parametrize("N", (2, 3, 8, 16, 24, 32))
+def test_bloch_round_trip_at_large_n(N):
+    rng = np.random.default_rng([N, 14])
+    b = cached_basis(N)
+    for rho in _density_matrices(N, rng):
+        P = to_bloch(rho, b)
+        back = from_bloch(N, P, b).rho
+        assert np.abs(back - rho).max() <= 1e-13
+        assert np.abs(to_bloch(back, b) - P).max() <= 1e-13 * max(1.0, np.abs(P).max())
