@@ -136,32 +136,21 @@ def generate_basis(N: int) -> GellMannBasis:
             f"the SU({N}) basis needs {nbytes / 2**20:.0f} MiB, more than "
             f"DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB"
         )
-    mats = []
-    labels = []
-    for j in range(N):
-        for k in range(j + 1, N):
-            m = np.zeros((N, N), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-            labels.append(f"s{j + 1}{k + 1}")
-    for j in range(N):
-        for k in range(j + 1, N):
-            m = np.zeros((N, N), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-            labels.append(f"a{j + 1}{k + 1}")
+    # filled in place, so the build peaks at one basis, not the two a stacked list needs
+    j, k = np.triu_indices(N, 1)
+    m = len(j)
+    s, a = np.arange(m), np.arange(m, 2 * m)
+    gen = np.zeros((N * N - 1, N, N), dtype=complex)
+    gen[s, j, k] = gen[s, k, j] = 1.0
+    gen[a, j, k] = -1.0j
+    gen[a, k, j] = 1.0j
     for l in range(1, N):
-        m = np.zeros((N, N), dtype=complex)
         norm = np.sqrt(2.0 / (l * (l + 1)))
-        for j in range(l):
-            m[j, j] = norm
-        m[l, l] = -l * norm
-        mats.append(m)
-        labels.append(f"d{l}")
-    gen = _readonly(np.stack(mats))
-    return GellMannBasis(dim=N, generators=gen, labels=tuple(labels))
+        gen[2 * m + l - 1, range(l), range(l)] = norm
+        gen[2 * m + l - 1, l, l] = -l * norm
+    pairs = [f"{r + 1}{c + 1}" for r, c in zip(j.tolist(), k.tolist())]
+    labels = [f"s{p}" for p in pairs] + [f"a{p}" for p in pairs] + [f"d{l}" for l in range(1, N)]
+    return GellMannBasis(dim=N, generators=_readonly(gen), labels=tuple(labels))
 
 
 @lru_cache(maxsize=None)

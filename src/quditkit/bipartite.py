@@ -378,15 +378,6 @@ def werner(N: int, alpha: float) -> WernerState:
     return WernerState(dim=N, alpha=float(alpha), state=state)
 
 
-def werner_alpha_norm(N: int) -> float:
-    """|alpha| forced by the scalar purity condition: N/2."""
-    return N / 2.0
-
-def werner_alpha_omega(N: int) -> float:
-    """alpha forced by the correlation-matrix purity condition: -N(N^2-2)/4."""
-    return -N * (N * N - 2.0) / 4.0
-
-
 def _werner_residual(N: int) -> Callable[[np.ndarray], np.ndarray]:
     """alphas -> total purity residual of werner(N, alpha), as a closure.
 
@@ -444,8 +435,8 @@ def werner_consistency(N: int) -> WernerConsistencyReport:
     """
     if N < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {N}")
-    a_norm = werner_alpha_norm(N)
-    a_omega = werner_alpha_omega(N)
+    a_norm = N / 2.0  # |alpha| forced by the scalar purity condition
+    a_omega = -N * (N * N - 2.0) / 4.0  # alpha forced by the correlation-matrix condition
     consistent = min(abs(a_norm - a_omega), abs(-a_norm - a_omega)) < 1e-12
 
     residual = _werner_residual(N)

@@ -35,14 +35,11 @@ class QuditState:
     bloch: np.ndarray  # real, length N^2-1, read-only
     rho: np.ndarray    # derived N x N matrix, read-only
 
-    def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
-        return float(np.linalg.eigvalsh(self.rho)[0]) >= -tol
-
     def to_json_dict(self, tol: float = DEFAULT_TOL) -> dict:
         return {
             "N": self.dim,
             "bloch": self.bloch.tolist(),
-            "physical": self.is_physical(tol),
+            "physical": float(np.linalg.eigvalsh(self.rho)[0]) >= -tol,
         }
 
 
@@ -159,22 +156,3 @@ def transform(
         raise ValueError(f"unitary is {U.shape[0]}x{U.shape[0]}, state has N={state.dim}")
     rho2 = U @ state.rho @ U.conj().T
     return from_bloch(state.dim, to_bloch(rho2, basis, tol), basis)
-
-
-def elementary_from_invariants(N: int, inv: InvariantSet) -> tuple[float, float, float]:
-    """Closed forms of e_2, e_3, e_4 in terms of the SU(N) invariants."""
-    p2, Q, qq = inv.p2, inv.Q, inv.quartic
-    e2 = (N - 1) / (2.0 * N) - p2 / N**2
-    e3 = (
-        (N - 1) * (N - 2) / (6.0 * N**2)
-        - (N - 2) * p2 / N**3
-        + 2.0 * Q / (3.0 * N**3)
-    )
-    e4 = (
-        (N - 1) * (N - 2) * (N - 3) / (24.0 * N**3)
-        - (N - 2) * (N - 3) * p2 / (2.0 * N**4)
-        + 2.0 * (N - 3) * Q / (3.0 * N**4)
-        + p2**2 / (2.0 * N**4)
-        - (2.0 * p2**2 / N + qq) / (2.0 * N**4)
-    )
-    return e2, e3, e4

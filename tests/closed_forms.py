@@ -1,10 +1,14 @@
 """Test oracles: closed-form elementary symmetric polynomials, dense f and d,
-and the single-qudit maps written as explicit contractions.
+the generators built one matrix at a time, and the single-qudit maps written
+as explicit contractions.
 
 ``elementary_closed_forms`` checks ``quditkit.sympoly.elementary_from_power``:
 e_1..e_6 written out in terms of the power sums p_k = Tr rho^k, independently
-of Newton's recursion.  ``dense_tensors`` rebuilds the (n, n, n) arrays of f
-and d from their COO entries, for einsum references at small N.
+of Newton's recursion; ``elementary_from_invariants`` writes e_2..e_4 in terms
+of the SU(N) invariants instead.  ``dense_tensors`` rebuilds the (n, n, n)
+arrays of f and d from their COO entries, for einsum references at small N.
+``loop_basis`` builds the generalized Gell-Mann matrices one by one and
+stacks them, the reference for ``quditkit.basis.generate_basis``.
 
 ``coo_q`` sums q_a = d_abc P_b P_c over the COO entries of d, and
 ``einsum_from_bloch``, ``einsum_to_bloch`` and ``einsum_adjoint`` contract the
@@ -22,6 +26,35 @@ def dense_tensors(t) -> tuple[np.ndarray, np.ndarray]:
     f[tuple(t.f_index.T)] = t.f_value
     d[tuple(t.d_index.T)] = t.d_value
     return f, d
+
+
+def loop_basis(N: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Generators (N^2-1, N, N) and labels in sym-antisym-diag order, one matrix at a time."""
+    mats = []
+    labels = []
+    for j in range(N):
+        for k in range(j + 1, N):
+            m = np.zeros((N, N), dtype=complex)
+            m[j, k] = 1.0
+            m[k, j] = 1.0
+            mats.append(m)
+            labels.append(f"s{j + 1}{k + 1}")
+    for j in range(N):
+        for k in range(j + 1, N):
+            m = np.zeros((N, N), dtype=complex)
+            m[j, k] = -1.0j
+            m[k, j] = 1.0j
+            mats.append(m)
+            labels.append(f"a{j + 1}{k + 1}")
+    for l in range(1, N):
+        m = np.zeros((N, N), dtype=complex)
+        norm = np.sqrt(2.0 / (l * (l + 1)))
+        for j in range(l):
+            m[j, j] = norm
+        m[l, l] = -l * norm
+        mats.append(m)
+        labels.append(f"d{l}")
+    return np.stack(mats), tuple(labels)
 
 
 def coo_q(P: np.ndarray, t) -> np.ndarray:
@@ -78,3 +111,22 @@ def elementary_closed_forms(p: list[float]) -> list[float]:
              + 144.0 * p5 - 120.0 * p6) / 720.0
         )
     return e
+
+
+def elementary_from_invariants(N: int, inv) -> tuple[float, float, float]:
+    """Closed forms of e_2, e_3, e_4 in terms of the SU(N) invariants."""
+    p2, Q, qq = inv.p2, inv.Q, inv.quartic
+    e2 = (N - 1) / (2.0 * N) - p2 / N**2
+    e3 = (
+        (N - 1) * (N - 2) / (6.0 * N**2)
+        - (N - 2) * p2 / N**3
+        + 2.0 * Q / (3.0 * N**3)
+    )
+    e4 = (
+        (N - 1) * (N - 2) * (N - 3) / (24.0 * N**3)
+        - (N - 2) * (N - 3) * p2 / (2.0 * N**4)
+        + 2.0 * (N - 3) * Q / (3.0 * N**4)
+        + p2**2 / (2.0 * N**4)
+        - (2.0 * p2**2 / N + qq) / (2.0 * N**4)
+    )
+    return e2, e3, e4

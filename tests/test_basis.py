@@ -18,7 +18,7 @@ from quditkit.basis import (
     verify_product_rule,
 )
 
-from closed_forms import dense_tensors
+from closed_forms import dense_tensors, loop_basis
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -333,6 +333,26 @@ def test_basis_refused_above_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("N", [*range(2, 17), 32])
+def test_basis_bytes_match_loop_construction(N):
+    generators, labels = loop_basis(N)
+    b = generate_basis(N)
+    assert b.generators.dtype == generators.dtype and b.generators.shape == generators.shape
+    assert b.generators.tobytes() == generators.tobytes()
+    assert b.labels == labels
+
+
+def test_basis_build_peaks_at_one_basis():
+    N = 32
+    tracemalloc.start()
+    try:
+        generate_basis(N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 16 * (N * N - 1) * N * N
 
 
 def test_tensor_build_memory_at_n32():

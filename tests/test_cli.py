@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from quditkit.cli import build_parser, main
-from quditkit.qutrit import region_scan, region_to_csv
+from quditkit.bipartite import werner_positivity_scan, werner_scan_csv
+from quditkit.qutrit import boundaries_to_csv, region_scan, region_to_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,13 +115,15 @@ def test_qutrit_region_output_files(tmp_path, capsys):
 
 
 def test_qutrit_region_streams_the_same_bytes(tmp_path, capsys):
-    expected = region_to_csv(region_scan(256))
+    grid = region_scan(256)
+    expected = region_to_csv(grid)
     out_path = tmp_path / "region.csv"
     code, out, _ = run_cli(
         capsys, "qutrit-region", "--resolution", "256", "--output", str(out_path)
     )
     assert code == 0 and out == ""
     assert out_path.read_bytes() == expected.encode()
+    assert (tmp_path / "region_boundaries.csv").read_bytes() == boundaries_to_csv(grid).encode()
     code, out, _ = run_cli(capsys, "qutrit-region", "--resolution", "256")
     assert code == 0 and out == expected
 
@@ -442,3 +445,31 @@ def test_readme_cli_lines_parse(tmp_path, monkeypatch, capsys):
         if "--output" in argv:
             out = Path(argv[argv.index("--output") + 1]).read_text()
         assert out.strip(), argv
+
+
+def test_readme_dataset_lines_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Datasets", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert [argv[0] for argv in lines] == ["mkdir"] + ["quditkit"] * 5
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        if argv[0] == "mkdir":
+            assert argv[1] == "-p"
+            Path(argv[2]).mkdir(parents=True, exist_ok=True)
+            continue
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0 and out == "", (argv, err)
+    out = tmp_path / "out"
+    grid = region_scan(512)
+    assert (out / "qutrit_region.csv").read_text() == region_to_csv(grid)
+    assert (out / "qutrit_region_boundaries.csv").read_text() == boundaries_to_csv(grid)
+    # the Werner files under one header: the scan over +-(N/2 + 1/4) for N = 2..5
+    rows = []
+    for N in (2, 3, 4, 5):
+        half = N / 2.0 + 0.25
+        rows.extend(werner_positivity_scan(N, -half, half, 201))
+    texts = [(out / f"werner_N{N}.csv").read_text() for N in (2, 3, 4, 5)]
+    header = texts[0].split("\n", 1)[0] + "\n"
+    assert all(text.startswith(header) for text in texts)
+    assert header + "".join(text[len(header):] for text in texts) == werner_scan_csv(rows)

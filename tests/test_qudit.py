@@ -6,7 +6,6 @@ from quditkit import sampling
 from quditkit.basis import adjoint_of, cached_basis, cached_tensors
 from quditkit.qudit import (
     UnphysicalStateError,
-    elementary_from_invariants,
     entropy,
     from_bloch,
     from_density_matrix,
@@ -19,6 +18,7 @@ from quditkit.sympoly import elementary_from_power, power_sums
 
 from closed_forms import (
     coo_q, dense_tensors, einsum_adjoint, einsum_from_bloch, einsum_to_bloch,
+    elementary_from_invariants,
 )
 
 
