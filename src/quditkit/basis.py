@@ -57,14 +57,10 @@ class GellMannBasis:
         """The generators as one (N^2-1, N^2) matrix G[a, i N + j] = L_a[i, j] (a view)."""
         return self.generators.reshape(self.size, self.dim * self.dim)
 
-    def to_json_dict(self, tolerance: float = DEFAULT_TOL) -> dict:
+    def to_json_dict(self) -> dict:
         """JSON export: header plus one {re, im} record per generator."""
         return {
-            "header": {
-                "N": self.dim,
-                "tolerance": tolerance,
-                "ordering": "sym-antisym-diag",
-            },
+            "header": _header(self.dim),
             "labels": list(self.labels),
             "generators": [
                 {"re": g.real.tolist(), "im": g.imag.tolist()}
@@ -88,16 +84,16 @@ class StructureTensors:
     d_index: np.ndarray = field(repr=False)
     d_value: np.ndarray = field(repr=False)
 
-    def to_json_dict(self, tolerance: float = DEFAULT_TOL) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "header": {
-                "N": self.dim,
-                "tolerance": tolerance,
-                "ordering": "sym-antisym-diag",
-            },
+            "header": _header(self.dim),
             "f": _records(self.f_index, self.f_value),
             "d": _records(self.d_index, self.d_value),
         }
+
+
+def _header(N: int) -> dict:
+    return {"N": N, "tolerance": DEFAULT_TOL, "ordering": "sym-antisym-diag"}
 
 
 def _records(index: np.ndarray, value: np.ndarray) -> list[dict]:
@@ -216,18 +212,18 @@ def _triple_traces(basis: GellMannBasis) -> tuple[np.ndarray, np.ndarray]:
     return _coalesce((a[p] * n + b[p]) * n + g[s], ab[p] * v[s])
 
 
-def compute_tensors(basis: GellMannBasis, tol: float = DEFAULT_TOL) -> StructureTensors:
+def compute_tensors(basis: GellMannBasis) -> StructureTensors:
     """d_abc = Re T_abc / 2 and f_abc = Im T_abc / 2, with T_abc = Tr(L_a L_b L_c).
 
     T is summed over the generators' nonzeros only.  Reading f and d off T
     needs Hermitian generators: raises ValueError when any generator
-    deviates from Hermitian, max |L - L^H|, by more than ``tol``.
+    deviates from Hermitian, max |L - L^H|, by more than DEFAULT_TOL.
     """
     g, r, c, v = _nonzeros(basis.generators)
     dev = _max_abs(basis.generators[g, c, r].conj() - v)
-    if dev > tol:
+    if dev > DEFAULT_TOL:
         raise ValueError(
-            f"generators deviate from Hermitian by {dev:.3e} > {tol:.3e}, so f and d "
+            f"generators deviate from Hermitian by {dev:.3e} > {DEFAULT_TOL:.3e}, so f and d "
             "would carry an imaginary residue; generator basis is inconsistent"
         )
     n = basis.size

@@ -19,7 +19,7 @@ import numpy as np
 # every other module is imported by the handler that uses it, so a process
 # compiles only what its subcommand runs
 from . import basis as basis_mod
-from .basis import DEFAULT_TOL
+from .basis import DEFAULT_TOL, DENSE_VIEW_MAX_BYTES
 
 if TYPE_CHECKING:
     from .bipartite import BipartiteState
@@ -114,16 +114,39 @@ def _load_bipartite_state(path: str) -> BipartiteState:
     return from_components(_dimension(data), x, y, omega)
 
 
+# The CLI holds its whole output in memory before writing it.  Its cost per
+# werner row or random state, for n = N^2 - 1, rounded up from tracemalloc
+# peaks of whole commands: werner takes about 1860 B per JSON row at N <= 7
+# (770 per CSV row) and 16 n B above, where the (steps, n) float temporaries
+# of the residual curve take over; random takes about 900 + 150 n B per
+# state (its Bloch list and JSON text).  Costs fixed per N are left out.
+def _werner_row_bytes(N: int) -> int:
+    return 2000 + 17 * (N * N - 1)
+
+
+def _random_state_bytes(N: int) -> int:
+    return 1200 + 160 * (N * N - 1)
+
+
+def _require_fits(flag: str, count: int, item_bytes: int) -> None:
+    """Refuse, before allocating, a count whose output exceeds DENSE_VIEW_MAX_BYTES."""
+    nbytes = count * item_bytes
+    if nbytes > DENSE_VIEW_MAX_BYTES:
+        raise ValueError(
+            f"{flag} {count} needs about {nbytes / 2**20:.0f} MiB, more than "
+            f"DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB"
+        )
+
+
 def cmd_basis(args: argparse.Namespace) -> int:
     b = basis_mod.generate_basis(args.N)
-    _emit(args, [_json_dumps(b.to_json_dict(args.tolerance))])
+    _emit(args, [_json_dumps(b.to_json_dict())])
     return EXIT_OK
 
 
 def cmd_tensors(args: argparse.Namespace) -> int:
-    b = basis_mod.generate_basis(args.N)
-    t = basis_mod.compute_tensors(b, args.tolerance)
-    _emit(args, [_json_dumps(t.to_json_dict(args.tolerance))])
+    t = basis_mod.compute_tensors(basis_mod.generate_basis(args.N))
+    _emit(args, [_json_dumps(t.to_json_dict())])
     return EXIT_OK
 
 
@@ -173,6 +196,7 @@ def cmd_qutrit_region(args: argparse.Namespace) -> int:
 def cmd_werner(args: argparse.Namespace) -> int:
     from . import bipartite
 
+    _require_fits("--steps", args.steps, _werner_row_bytes(args.N))
     report = bipartite.werner_consistency(args.N)
     rows = bipartite.werner_positivity_scan(
         args.N, args.alpha_min, args.alpha_max, args.steps, args.tolerance
@@ -218,12 +242,13 @@ def cmd_verify_su4(args: argparse.Namespace) -> int:
 def cmd_random(args: argparse.Namespace) -> int:
     from . import qudit, sampling
 
-    basis = basis_mod.cached_basis(args.N)  # refuses N < 2 before sampling
+    _require_fits("--count", args.count, _random_state_bytes(args.N))
+    basis_mod.cached_basis(args.N)  # refuses N < 2 before sampling
     rng = np.random.default_rng(args.seed)
     states = []
     for _ in range(args.count):
         rho = sampling.random_density_matrix(args.N, rng)
-        states.append(qudit.from_density_matrix(rho, basis).to_json_dict(args.tolerance))
+        states.append(qudit.from_density_matrix(rho).to_json_dict(args.tolerance))
     _emit(args, [_json_dumps({"seed": args.seed, "states": states})])
     return EXIT_OK
 
@@ -274,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output file (default stdout)")
         return p
 
-    add("basis", cmd_basis, "emit the generator matrices as JSON", "N", "tolerance")
-    add("tensors", cmd_tensors, "emit the sparse f/d structure tensors as JSON",
-        "N", "tolerance")
+    add("basis", cmd_basis, "emit the generator matrices as JSON", "N")
+    add("tensors", cmd_tensors, "emit the sparse f/d structure tensors as JSON", "N")
     add("check", cmd_check, "physicality, invariants and purity report for a state JSON",
         "input", "tolerance")
     add("entropy", cmd_entropy, "von Neumann entropy of a state JSON (exit 2 if unphysical)",

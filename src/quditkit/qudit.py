@@ -71,13 +71,13 @@ class PurityResiduals:
         return abs(self.r_norm) <= tol and self.r_vec <= tol
 
 
-def from_bloch(N: int, P: np.ndarray, basis: GellMannBasis | None = None) -> QuditState:
+def from_bloch(N: int, P: np.ndarray) -> QuditState:
     """State with rho = (1/N)(1 + P_a L_a); P need not be physical."""
-    basis = basis if basis is not None else cached_basis(N)
+    G = cached_basis(N).matrix
     P = np.asarray(P, dtype=float)
     if P.shape != (N * N - 1,):
         raise ValueError(f"Bloch vector must have length {N * N - 1}, got shape {P.shape}")
-    rho = (np.eye(N, dtype=complex) + (P @ basis.matrix).reshape(N, N)) / N
+    rho = (np.eye(N, dtype=complex) + (P @ G).reshape(N, N)) / N
     return QuditState(dim=N, bloch=_readonly(P.copy()), rho=_readonly(rho))
 
 
@@ -88,11 +88,9 @@ def to_bloch(rho: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL) ->
     return (N / 2.0) * (basis.matrix @ rho.T.ravel()).real
 
 
-def from_density_matrix(
-    rho: np.ndarray, basis: GellMannBasis | None = None, tol: float = DEFAULT_TOL
-) -> QuditState:
-    basis = basis if basis is not None else cached_basis(np.asarray(rho).shape[0])
-    return from_bloch(basis.dim, to_bloch(rho, basis, tol), basis)
+def from_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> QuditState:
+    N = np.asarray(rho).shape[0]
+    return from_bloch(N, to_bloch(rho, cached_basis(N), tol))
 
 
 def _q(state: QuditState, tensors: StructureTensors | None) -> np.ndarray:
@@ -145,14 +143,10 @@ def entropy(state: QuditState, tol: float = DEFAULT_TOL) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def transform(
-    state: QuditState, U: np.ndarray, basis: GellMannBasis | None = None,
-    tol: float = DEFAULT_TOL,
-) -> QuditState:
+def transform(state: QuditState, U: np.ndarray, tol: float = DEFAULT_TOL) -> QuditState:
     """Conjugated state U rho U^dag; Bloch vector rotates by the adjoint matrix."""
-    basis = basis if basis is not None else cached_basis(state.dim)
     U = require_unitary(U, tol)
-    if U.shape[0] != state.dim:
-        raise ValueError(f"unitary is {U.shape[0]}x{U.shape[0]}, state has N={state.dim}")
-    rho2 = U @ state.rho @ U.conj().T
-    return from_bloch(state.dim, to_bloch(rho2, basis, tol), basis)
+    N = state.dim
+    if U.shape[0] != N:
+        raise ValueError(f"unitary is {U.shape[0]}x{U.shape[0]}, state has N={N}")
+    return from_bloch(N, to_bloch(U @ state.rho @ U.conj().T, cached_basis(N), tol))

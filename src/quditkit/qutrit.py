@@ -139,6 +139,16 @@ def _conditions(
     return ok_norm, ok_cond1, ok_disc, ok_eigen
 
 
+def _fail_mask(ok_norm, ok_cond1, ok_disc, ok_eigen) -> np.ndarray:
+    """uint8 FailFlag bits; EIGEN_POSITIVITY only where the spectrum is real (ok_disc)."""
+    return (
+        (~ok_norm).astype(np.uint8) * FailFlag.NORM_BOUND
+        + (~ok_cond1).astype(np.uint8) * FailFlag.CONDITION1
+        + (~ok_disc).astype(np.uint8) * FailFlag.DISCRIMINANT
+        + (ok_disc & ~ok_eigen).astype(np.uint8) * FailFlag.EIGEN_POSITIVITY
+    )
+
+
 def admissible(p2: float, Q: float, tol: float = DEFAULT_TOL) -> tuple[bool, list[FailFlag]]:
     """Physicality verdict for the invariant pair, with the failed conditions.
 
@@ -148,18 +158,11 @@ def admissible(p2: float, Q: float, tol: float = DEFAULT_TOL) -> tuple[bool, lis
     """
     _require_invariants(p2, Q)
     with np.errstate(over="ignore"):
-        flags = _conditions(np.array([p2]), np.array([Q]), tol)
-    ok_norm, ok_cond1, ok_disc, ok_eigen = (bool(v[0]) for v in flags)
-    failed = []
-    if not ok_norm:
-        failed.append(FailFlag.NORM_BOUND)
-    if not ok_cond1:
-        failed.append(FailFlag.CONDITION1)
-    if not ok_disc:
-        failed.append(FailFlag.DISCRIMINANT)
-    elif not ok_eigen:
-        # only meaningful once the spectrum is real
-        failed.append(FailFlag.EIGEN_POSITIVITY)
+        mask = int(_fail_mask(*_conditions(np.array([p2]), np.array([Q]), tol))[0])
+    # written out, as iterating FailFlag on Python 3.10 also yields NONE
+    order = (FailFlag.NORM_BOUND, FailFlag.CONDITION1, FailFlag.DISCRIMINANT,
+             FailFlag.EIGEN_POSITIVITY)
+    failed = [flag for flag in order if mask & flag]
     return (not failed), failed
 
 
@@ -183,18 +186,10 @@ def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
     p_values = np.linspace(0.0, P_MAX, resolution)
     q_values = np.linspace(Q_MIN, Q_MAX, resolution)
     p2 = p_values**2
-    adm = np.empty((resolution, resolution), dtype=bool)
     fail_mask = np.empty((resolution, resolution), dtype=np.uint8)
     rows = max(1, _BLOCK_CELLS // resolution)
     for lo in range(0, resolution, rows):
-        ok_norm, ok_cond1, ok_disc, ok_eigen = _conditions(p2[lo:lo + rows, None], q_values, tol)
-        fail_mask[lo:lo + rows] = (
-            (~ok_norm).astype(np.uint8) * FailFlag.NORM_BOUND
-            + (~ok_cond1).astype(np.uint8) * FailFlag.CONDITION1
-            + (~ok_disc).astype(np.uint8) * FailFlag.DISCRIMINANT
-            + (ok_disc & ~ok_eigen).astype(np.uint8) * FailFlag.EIGEN_POSITIVITY
-        )
-        adm[lo:lo + rows] = ok_norm & ok_cond1 & ok_disc & ok_eigen
+        fail_mask[lo:lo + rows] = _fail_mask(*_conditions(p2[lo:lo + rows, None], q_values, tol))
 
     ps = np.linspace(0.0, P_MAX, 4 * resolution)
     qs = np.linspace(Q_MIN, Q_MAX, 4 * resolution)
@@ -207,7 +202,7 @@ def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
     return RegionGrid(
         p_values=p_values,
         q_values=q_values,
-        admissible=adm,
+        admissible=fail_mask == 0,
         fail_mask=fail_mask,
         boundaries=boundaries,
     )

@@ -25,7 +25,6 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-_PAULI_NAMES = ("1", "s1", "s2", "s3")
 
 
 def _m(entries: dict[tuple[int, int], complex], scale: float = 1.0) -> np.ndarray:

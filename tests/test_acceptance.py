@@ -49,7 +49,7 @@ def test_criterion_1_pure_state_invariants():
         basis, tens = cached_basis(N), cached_tensors(N)
         for _ in range(200):
             psi = sampling.random_pure_state(N, rng)
-            st = from_bloch(N, to_bloch(np.outer(psi, psi.conj()), basis), basis)
+            st = from_bloch(N, to_bloch(np.outer(psi, psi.conj()), basis))
             inv = invariants(st, tens)
             worst = max(worst, abs(inv.p2 - p2_want), abs(inv.Q - q_want))
     _report(1, worst < 1e-9, f"pure-state |P|^2 and Q, worst deviation {worst:.3e}")
@@ -91,7 +91,7 @@ def test_criterion_3_qutrit_closed_form():
     worst_vieta = 0.0
     for _ in range(10_000):
         rho = sampling.random_density_matrix(3, rng)
-        st = from_bloch(3, to_bloch(rho, basis), basis)
+        st = from_bloch(3, to_bloch(rho, basis))
         inv = invariants(st, tens)
         s = spectrum(inv.p2, inv.Q)
         eigs = np.sort(np.linalg.eigvalsh(3.0 * rho - np.eye(3)))
@@ -326,9 +326,9 @@ def test_criterion_10_sun_invariance():
         n = basis.size
         for _ in range(100):
             rho = sampling.random_density_matrix(N, rng)
-            st = from_bloch(N, to_bloch(rho, basis), basis)
+            st = from_bloch(N, to_bloch(rho, basis))
             U = sampling.haar_unitary(N, rng)
-            st2 = transform(st, U, basis)
+            st2 = transform(st, U)
             i1, i2 = invariants(st, tens), invariants(st2, tens)
             worst_change = max(
                 worst_change,

@@ -3,12 +3,14 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quditkit.cli import build_parser, main
+from quditkit.basis import cached_tensors
+from quditkit.cli import _random_state_bytes, _werner_row_bytes, build_parser, main
 from quditkit.bipartite import werner_positivity_scan, werner_scan_csv
 from quditkit.qutrit import boundaries_to_csv, region_scan, region_to_csv
 
@@ -341,6 +343,54 @@ def test_basis_beyond_memory_budget_exits_one(tmp_path):
     assert error["command"] == "basis" and "DENSE_VIEW_MAX_BYTES" in error["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("werner", "--N", "7", "--steps", "10000000"), "--steps 10000000 needs about "),
+        (("random", "--N", "5", "--count", "100000"), "--count 100000 needs about "),
+    ],
+    ids=["werner-steps", "random-count"],
+)
+def test_output_beyond_memory_budget_exits_one_before_allocating(capsys, argv, message):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["command"] == argv[0]
+    assert error["error"].startswith(message) and "DENSE_VIEW_MAX_BYTES" in error["error"]
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, item_bytes",
+    [
+        (("werner", "--N", "3", "--steps", "10000"), _werner_row_bytes(3)),
+        (("werner", "--N", "11", "--steps", "10000"), _werner_row_bytes(11)),
+        (("random", "--N", "5", "--count", "2000"), _random_state_bytes(5)),
+        (("random", "--N", "32", "--count", "20"), _random_state_bytes(32)),
+    ],
+    ids=["werner-N3", "werner-N11", "random-N5", "random-N32"],
+)
+def test_output_cost_model_bounds_the_measured_peak(capsys, tmp_path, argv, item_bytes):
+    # the refusals above rest on this per-row and per-state model, which leaves
+    # out costs fixed per N: the basis and tensors are built before measuring,
+    # and werner's 10 000-point consistency grid is matched by --steps 10000
+    N, count = int(argv[2]), int(argv[4])
+    cached_tensors(N)
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--output", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak <= count * item_bytes
+
+
 ZERO_PAIR = {"N": 2, "x": [0.0] * 3, "y": [0.0] * 3, "omega": np.zeros((3, 3)).tolist()}
 
 
@@ -409,14 +459,18 @@ def test_random_count_below_one_exits_one(capsys):
         (("qutrit-region", "--format", "json"), "qutrit-region", "unrecognized arguments"),
         (("random", "--count", "0"), "random", "argument --count: "),
         (("werner", "--tolerance", "-1"), "werner", "argument --tolerance: "),
-        (("basis", "--tolerance", "nan"), "basis", "argument --tolerance: "),
+        (("random", "--tolerance", "nan"), "random", "argument --tolerance: "),
+        (("basis", "--tolerance", "1e-6"), "basis", "unrecognized arguments: --tolerance 1e-6"),
+        (("tensors", "--tolerance", "1e-6"), "tensors",
+         "unrecognized arguments: --tolerance 1e-6"),
         (("basis", "--N", "1"), "basis", "qudit dimension must be >= 2"),
         (("werner", "--N", "1"), "werner", "qudit dimension must be >= 2"),
         (("random", "--N", "0"), "random", "qudit dimension must be >= 2"),
         ((), None, "required: command"),
     ],
     ids=["bad-value", "unknown-flag", "flag-not-read", "count-0", "tolerance-negative",
-         "tolerance-nan", "basis-N-1", "werner-N-1", "random-N-0", "no-command"],
+         "tolerance-nan", "basis-tolerance", "tensors-tolerance", "basis-N-1", "werner-N-1",
+         "random-N-0", "no-command"],
 )
 def test_usage_error_returns_one_in_process(capsys, argv, command, message):
     code, out, err = run_cli(capsys, *argv)  # a SystemExit here fails the test

@@ -51,7 +51,7 @@ def test_to_bloch_round_trip(bases, rng):
         for _ in range(1000):
             rho = sampling.random_hermitian_unit_trace(N, rng)
             P = to_bloch(rho, bases[N])
-            assert np.abs(from_bloch(N, P, bases[N]).rho - rho).max() < 1e-12
+            assert np.abs(from_bloch(N, P).rho - rho).max() < 1e-12
 
 
 def test_to_bloch_rejects_wrong_trace(bases):
@@ -68,7 +68,7 @@ def test_haar_pure_state_norm(bases, rng):
 @pytest.mark.parametrize("N", (2, 3, 4, 5))
 def test_pure_state_invariants(N, bases, tensors, rng):
     psi = sampling.random_pure_state(N, rng)
-    st = from_bloch(N, to_bloch(np.outer(psi, psi.conj()), bases[N]), bases[N])
+    st = from_bloch(N, to_bloch(np.outer(psi, psi.conj()), bases[N]))
     inv = invariants(st, tensors[N])
     assert abs(inv.p2 - N * (N - 1) / 2.0) < 1e-9
     assert abs(inv.Q - N * (N - 1) * (N - 2) / 2.0) < 1e-9
@@ -85,7 +85,7 @@ def test_purity_residuals_pure(N, bases, tensors, rng):
     psi = sampling.random_pure_state(N, rng)
     rho = np.outer(psi, psi.conj())
     assert np.abs(rho @ rho - rho).max() < 1e-12  # independent idempotency check
-    st = from_bloch(N, to_bloch(rho, bases[N]), bases[N])
+    st = from_bloch(N, to_bloch(rho, bases[N]))
     res = purity_residuals(st, tensors[N])
     assert abs(res.r_norm) < 1e-10
     assert res.r_vec < 1e-10
@@ -118,7 +118,7 @@ def test_purity_iff_residuals(bases, tensors, rng):
         rho = np.outer(psi, psi.conj())
         if rng.random() < 0.5:
             rho = 0.9 * rho + 0.1 * np.eye(N) / N
-        st = from_bloch(N, to_bloch(rho, bases[N]), bases[N])
+        st = from_bloch(N, to_bloch(rho, bases[N]))
         res = purity_residuals(st, tensors[N])
         idempotent = np.abs(rho @ rho - rho).max() < 1e-10
         residual_pure = abs(res.r_norm) < 1e-8 and res.r_vec < 1e-8
@@ -148,25 +148,25 @@ def test_entropy_refuses_unphysical():
         entropy(from_bloch(3, P))
 
 
-def test_transform_identity(bases, rng):
+def test_transform_identity(rng):
     st = from_bloch(3, rng.standard_normal(8))
-    st2 = transform(st, np.eye(3), bases[3])
+    st2 = transform(st, np.eye(3))
     assert np.abs(st2.bloch - st.bloch).max() < 1e-12
 
 
-def test_transform_diag_phase_fixes_diagonal_state(bases):
+def test_transform_diag_phase_fixes_diagonal_state():
     P = np.zeros(8)
     P[6] = 1.5
     P[7] = np.sqrt(3.0) / 2.0
     st = from_bloch(3, P)
     U = np.diag(np.exp(1j * np.array([0.3, -0.4, 1.1])))
-    st2 = transform(st, U, bases[3])
+    st2 = transform(st, U)
     assert np.abs(st2.rho - st.rho).max() < 1e-12
 
 
-def test_transform_rejects_nonunitary(bases):
+def test_transform_rejects_nonunitary():
     with pytest.raises(ValueError):
-        transform(from_bloch(2, np.zeros(3)), np.diag([1.0, 0.5]), bases[2])
+        transform(from_bloch(2, np.zeros(3)), np.diag([1.0, 0.5]))
 
 
 def test_transform_preserves_invariants_and_entropy(bases, tensors, rng):
@@ -174,9 +174,9 @@ def test_transform_preserves_invariants_and_entropy(bases, tensors, rng):
 
     for _ in range(20):
         rho = sampling.random_density_matrix(3, rng)
-        st = from_bloch(3, to_bloch(rho, bases[3]), bases[3])
+        st = from_bloch(3, to_bloch(rho, bases[3]))
         U = sampling.haar_unitary(3, rng)
-        st2 = transform(st, U, bases[3])
+        st2 = transform(st, U)
         # oracle: direct conjugation
         assert np.abs(st2.rho - U @ st.rho @ U.conj().T).max() < 1e-12
         R = adjoint_of(U, bases[3]).R
@@ -192,7 +192,7 @@ def test_transform_preserves_invariants_and_entropy(bases, tensors, rng):
 def test_elementary_from_invariants_match_spectrum(N, bases, tensors, rng):
     for _ in range(100):
         rho = sampling.random_density_matrix(N, rng)
-        st = from_bloch(N, to_bloch(rho, bases[N]), bases[N])
+        st = from_bloch(N, to_bloch(rho, bases[N]))
         inv = invariants(st, tensors[N])
         e = elementary_from_power(power_sums(st.rho, 4))
         e2, e3, e4 = elementary_from_invariants(N, inv)
@@ -206,9 +206,9 @@ def test_entropy_depends_only_on_invariants(bases, rng):
     # states related by an adjoint rotation have the same entropy
     for _ in range(20):
         rho = sampling.random_density_matrix(4, rng)
-        st = from_bloch(4, to_bloch(rho, bases[4]), bases[4])
+        st = from_bloch(4, to_bloch(rho, bases[4]))
         U = sampling.haar_unitary(4, rng)
-        st2 = transform(st, U, bases[4])
+        st2 = transform(st, U)
         assert abs(entropy(st) - entropy(st2)) < 1e-9
 
 
@@ -275,7 +275,7 @@ def test_maps_match_einsum_contractions(N):
         P = to_bloch(rho, b)
         assert np.abs(P - P_ref).max() <= 1e-14 * max(1.0, np.abs(P_ref).max())
         rho_ref = einsum_from_bloch(P, b.generators)
-        assert np.abs(from_bloch(N, P, b).rho - rho_ref).max() <= 1e-14 * max(
+        assert np.abs(from_bloch(N, P).rho - rho_ref).max() <= 1e-14 * max(
             1.0, np.abs(rho_ref).max())
     U = sampling.haar_unitary(N, rng)
     assert np.abs(adjoint_of(U, b).R - einsum_adjoint(U, b.generators)).max() <= 1e-14
@@ -284,10 +284,9 @@ def test_maps_match_einsum_contractions(N):
 @pytest.mark.parametrize("N", (8, 16, 32))
 def test_invariants_unchanged_by_haar_conjugation(N):
     rng = np.random.default_rng([N, 13])
-    b = cached_basis(N)
     for rho in _density_matrices(N, rng)[:3]:
-        st = from_density_matrix(rho, b)
-        st2 = transform(st, sampling.haar_unitary(N, rng), b)
+        st = from_density_matrix(rho)
+        st2 = transform(st, sampling.haar_unitary(N, rng))
         i1, i2 = invariants(st), invariants(st2)
         scale = max(1.0, i1.p2)
         assert abs(i1.p2 - i2.p2) <= 1e-12 * scale
@@ -301,6 +300,6 @@ def test_bloch_round_trip_at_large_n(N):
     b = cached_basis(N)
     for rho in _density_matrices(N, rng):
         P = to_bloch(rho, b)
-        back = from_bloch(N, P, b).rho
+        back = from_bloch(N, P).rho
         assert np.abs(back - rho).max() <= 1e-13
         assert np.abs(to_bloch(back, b) - P).max() <= 1e-13 * max(1.0, np.abs(P).max())

@@ -71,7 +71,7 @@ def test_roots_match_eigensolver_on_random_states(rng):
     worst = 0.0
     for _ in range(2000):
         rho = sampling.random_density_matrix(3, rng)
-        st = from_bloch(3, to_bloch(rho, basis), basis)
+        st = from_bloch(3, to_bloch(rho, basis))
         inv = invariants(st, tens)
         s = spectrum(inv.p2, inv.Q)
         eigs = np.sort(np.linalg.eigvalsh(3.0 * rho - np.eye(3)))
@@ -126,7 +126,7 @@ def test_random_physical_qutrits_map_inside_region(rng):
     tens = cached_tensors(3)
     for _ in range(500):
         rho = sampling.random_density_matrix(3, rng)
-        st = from_bloch(3, to_bloch(rho, basis), basis)
+        st = from_bloch(3, to_bloch(rho, basis))
         inv = invariants(st, tens)
         ok, failed = admissible(inv.p2, inv.Q)
         assert ok, (inv.p2, inv.Q, failed)
