@@ -116,6 +116,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def require_budget(what: str, nbytes: int) -> None:
+    """Refuse with ValueError, before allocating, what needs more than DENSE_VIEW_MAX_BYTES."""
+    if nbytes > DENSE_VIEW_MAX_BYTES:
+        raise ValueError(
+            f"{what} needs about {nbytes / 2**20:.0f} MiB, more than "
+            f"DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB"
+        )
+
+
 def generate_basis(N: int) -> GellMannBasis:
     """Build the N^2 - 1 generalized Gell-Mann matrices for SU(N).
 
@@ -126,12 +135,7 @@ def generate_basis(N: int) -> GellMannBasis:
     """
     if N < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {N}")
-    nbytes = 16 * (N * N - 1) * N * N
-    if nbytes > DENSE_VIEW_MAX_BYTES:
-        raise ValueError(
-            f"the SU({N}) basis needs {nbytes / 2**20:.0f} MiB, more than "
-            f"DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB"
-        )
+    require_budget(f"the SU({N}) basis", 16 * (N * N - 1) * N * N)
     # filled in place, so the build peaks at one basis, not the two a stacked list needs
     j, k = np.triu_indices(N, 1)
     m = len(j)
@@ -239,12 +243,11 @@ def cached_tensors(N: int) -> StructureTensors:
     return compute_tensors(cached_basis(N))
 
 
-def verify_product_rule(
-    basis: GellMannBasis, tensors: StructureTensors, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def verify_product_rule(basis: GellMannBasis, tensors: StructureTensors) -> CheckResult:
     """Check L_a L_b = (2/N) delta_ab 1 + (d_abc + i f_abc) L_c for all pairs.
 
-    Both sides are summed in COO form over (a, b, i, k) and compared entrywise.
+    Both sides are summed in COO form over (a, b, i, k) and compared entrywise;
+    ok when the largest residual is at most DEFAULT_TOL.
     """
     if basis.dim != tensors.dim:
         raise ValueError("basis and tensors have different dimensions")
@@ -263,14 +266,15 @@ def verify_product_rule(
     ])
     values = np.concatenate([ab, -t[p] * v[s], np.full(n * N, -2.0 / N)])
     res = _max_abs(_coalesce(keys, values)[1])
-    return CheckResult(res <= tol, res)
+    return CheckResult(res <= DEFAULT_TOL, res)
 
 
-def verify_ff_dd_identity(tensors: StructureTensors, tol: float = DEFAULT_TOL) -> CheckResult:
+def verify_ff_dd_identity(tensors: StructureTensors) -> CheckResult:
     """Check f_mki f_nli = (2/N)(delta_mn delta_kl - delta_ml delta_kn) + d_mni d_kli - d_kni d_mli.
 
     Both sides are summed in COO form over (m, n, k, l), joining each tensor
-    with itself on its last index.
+    with itself on its last index; ok when the largest residual is at most
+    DEFAULT_TOL.
     """
     N = tensors.dim
     n = N * N - 1
@@ -291,32 +295,33 @@ def verify_ff_dd_identity(tensors: StructureTensors, tol: float = DEFAULT_TOL) -
         fv[p] * fv[q], -dd, dd, np.full(n * n, -2.0 / N), np.full(n * n, 2.0 / N),
     ])
     res = _max_abs(_coalesce(keys, values)[1])
-    return CheckResult(res <= tol, res)
+    return CheckResult(res <= DEFAULT_TOL, res)
 
 
-def require_unitary(U: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def require_unitary(U: np.ndarray) -> np.ndarray:
+    """U as a complex array, checked square and unitary within DEFAULT_TOL."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     dev = float(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max())
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary: |U^dag U - 1| = {dev:.3e} > {tol:.3e}")
+    if dev > DEFAULT_TOL:
+        raise ValueError(f"matrix is not unitary: |U^dag U - 1| = {dev:.3e} > {DEFAULT_TOL:.3e}")
     return U
 
 
-def adjoint_of(U: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL) -> AdjointMatrix:
+def adjoint_of(U: np.ndarray, basis: GellMannBasis) -> AdjointMatrix:
     """Adjoint-representation matrix R with U L_j U^dag = R_kj L_k.
 
     R is real orthogonal and leaves f and d invariant as rank-3 tensors.
     Rejects non-unitary U.
     """
-    U = require_unitary(U, tol)
+    U = require_unitary(U)
     if U.shape[0] != basis.dim:
         raise ValueError(f"unitary is {U.shape[0]}x{U.shape[0]}, basis has N={basis.dim}")
     conj = U @ basis.generators @ U.conj().T
     # R_ka = Tr(L_k U L_a U^dag) / 2 = sum_ij G[k, i N + j] (U L_a U^dag)[j, i] / 2
     R = 0.5 * (basis.matrix @ conj.transpose(0, 2, 1).reshape(basis.size, -1).T)
     residue = float(np.abs(R.imag).max())
-    if residue > tol:
+    if residue > DEFAULT_TOL:
         raise ValueError(f"adjoint matrix has imaginary residue {residue:.3e}")
     return AdjointMatrix(dim=basis.dim, R=_readonly(R.real))

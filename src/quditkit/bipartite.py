@@ -72,8 +72,8 @@ class PurityResiduals:
     def total(self) -> float:
         return abs(self.r_sum) + self.r_x + self.r_y + self.r_omega
 
-    def is_pure(self, tol: float = 1e-8) -> bool:
-        return self.total() <= 4 * tol
+    def is_pure(self) -> bool:
+        return self.total() <= 4e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +83,7 @@ class ZMatrix:
     Z: np.ndarray
     det_omega: float
     adjugate_residual: float  # max-abs of omega Z^T + det(omega) 1
-    entangled: bool           # Z != 0; Z vanishes on pure product states
+    entangled: bool           # max |Z_ij| > DEFAULT_TOL; Z vanishes on pure product states
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,19 +169,17 @@ def from_components(
 
 
 def to_components(
-    rho: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL
+    rho: np.ndarray, basis: GellMannBasis
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project a Hermitian unit-trace N^2 x N^2 matrix onto component form."""
     N = basis.dim
-    rho = require_density(rho, (N * N, N * N), tol)
+    rho = require_density(rho, (N * N, N * N))
     t = _project(rho, N).real
     return (N / 2.0) * t[1:, 0], (N / 2.0) * t[0, 1:], (N * N / 4.0) * t[1:, 1:]
 
 
-def from_density_matrix(
-    rho: np.ndarray, N: int, tol: float = DEFAULT_TOL
-) -> BipartiteState:
-    x, y, omega = to_components(rho, cached_basis(N), tol)
+def from_density_matrix(rho: np.ndarray, N: int) -> BipartiteState:
+    x, y, omega = to_components(rho, cached_basis(N))
     return from_components(N, x, y, omega)
 
 
@@ -219,15 +217,15 @@ def purity_residuals_qubit(state: BipartiteState) -> PurityResiduals:
     )
 
 
-def derived_qubit_identities(state: BipartiteState, tol: float = 1e-8) -> dict:
+def derived_qubit_identities(state: BipartiteState) -> dict:
     """Identities that follow from purity: |x|^2 = |y|^2 = 1 + det(omega) etc.
 
-    Refuses input that is not pure (the identities are consequences of
-    rho^2 = rho).
+    Refuses input that is not pure by PurityResiduals.is_pure (the
+    identities are consequences of rho^2 = rho).
     """
     _require_qubit(state)
     res = purity_residuals_qubit(state)
-    if not res.is_pure(tol):
+    if not res.is_pure():
         raise ValueError(f"state is not pure: purity residual total {res.total():.3e}")
     x, y, w = state.x, state.y, state.omega
     trw = float(np.trace(w))
@@ -246,7 +244,7 @@ def derived_qubit_identities(state: BipartiteState, tol: float = 1e-8) -> dict:
     }
 
 
-def z_matrix(state: BipartiteState, tol: float = DEFAULT_TOL) -> ZMatrix:
+def z_matrix(state: BipartiteState) -> ZMatrix:
     """Z_ij = -d_ij e2(omega) + omega_ji tr(omega) - (omega^2)_ji, for N = 2."""
     _require_qubit(state)
     w = state.omega
@@ -257,11 +255,11 @@ def z_matrix(state: BipartiteState, tol: float = DEFAULT_TOL) -> ZMatrix:
         Z=_readonly(Z),
         det_omega=det_w,
         adjugate_residual=residual,
-        entangled=bool(np.abs(Z).max() > tol),
+        entangled=bool(np.abs(Z).max() > DEFAULT_TOL),
     )
 
 
-def mixed_positivity_qubit(state: BipartiteState, tol: float = DEFAULT_TOL) -> dict:
+def mixed_positivity_qubit(state: BipartiteState) -> dict:
     """The three necessary positivity inequalities for a two-qubit state.
 
     Component forms of e_2, e_3, e_4 >= 0 for the 4 x 4 matrix (scaled by
@@ -273,7 +271,7 @@ def mixed_positivity_qubit(state: BipartiteState, tol: float = DEFAULT_TOL) -> d
                 - 4 (|x|^2 |y|^2 + 2 x.Z.y + Z:Z)
 
     Necessary but not sufficient: every PSD state passes all three, and
-    equality holds only for pure states.
+    equality holds only for pure states.  Each verdict allows DEFAULT_TOL.
     """
     _require_qubit(state)
     x, y, w = state.x, state.y, state.omega
@@ -292,10 +290,10 @@ def mixed_positivity_qubit(state: BipartiteState, tol: float = DEFAULT_TOL) -> d
     min_eig = float(np.linalg.eigvalsh(state.rho)[0])
     return {
         "values": (ineq1, ineq2, ineq3),
-        "satisfied": tuple(v >= -tol for v in (ineq1, ineq2, ineq3)),
-        "equality": tuple(abs(v) <= tol for v in (ineq1, ineq2, ineq3)),
+        "satisfied": tuple(v >= -DEFAULT_TOL for v in (ineq1, ineq2, ineq3)),
+        "equality": tuple(abs(v) <= DEFAULT_TOL for v in (ineq1, ineq2, ineq3)),
         "min_eigenvalue": min_eig,
-        "psd": min_eig >= -tol,
+        "psd": min_eig >= -DEFAULT_TOL,
     }
 
 
@@ -382,11 +380,12 @@ def _werner_residual(N: int) -> Callable[[np.ndarray], np.ndarray]:
     """alphas -> total purity residual of werner(N, alpha), as a closure.
 
     The four residuals are polynomial in alpha, so the omega = identity
-    contractions are evaluated once, here, and each call costs O(n) per
-    alpha.  Off the diagonal the matrix condition is |0 - alpha^2 C_ij| =
-    alpha^2 |C_ij|, and rounding is monotone, so its max is
-    alpha^2 max|C_ij| exactly: the result is bit-identical to taking the
-    max over the full (n, n) residual matrix.
+    contractions are evaluated once, here, and each call costs O(1) per
+    alpha.  Rounding is monotone, so the max over the full (n, n) residual
+    matrix is reached, bit for bit, at two constants.  Off the diagonal the
+    matrix condition is |0 - alpha^2 C_ij| = alpha^2 |C_ij|, largest at
+    max|C_ij|.  On it, fl(c alpha - fl(alpha^2) C_ii) is monotone in C_ii,
+    so its largest magnitude is at min C_ii or max C_ii.
     """
     tensors = cached_tensors(N)  # refuses an N out of range before allocating
     n = N * N - 1
@@ -398,16 +397,17 @@ def _werner_residual(N: int) -> Callable[[np.ndarray], np.ndarray]:
     # the w w (dd - ff) term at w = identity
     S = _assemble(N, np.pad(eye, ((1, 0), (1, 0))))
     C_base = 0.25 * _project(S @ S, N).real[1:, 1:]
-    c_diag = np.diag(C_base).copy()
+    c_lo, c_hi = C_base.diagonal().min(), C_base.diagonal().max()
     c_off = np.abs(C_base[~eye.astype(bool)]).max()
     c = N * N - 2.0
 
     def residual(alphas: np.ndarray) -> np.ndarray:
         alphas = np.asarray(alphas, dtype=float)
-        r_sum = np.abs(1.0 + (4.0 / N**2) * alphas**2 * n - N * N)
-        r_vec = 2.0 * alphas**2 * vec_base
-        r_diag = np.abs(c * alphas[:, None] - alphas[:, None] ** 2 * c_diag).max(axis=1)
-        r_omega = np.maximum(r_diag, alphas**2 * c_off)
+        a2 = alphas**2
+        r_sum = np.abs(1.0 + (4.0 / N**2) * a2 * n - N * N)
+        r_vec = 2.0 * a2 * vec_base
+        r_diag = np.maximum(np.abs(c * alphas - a2 * c_lo), np.abs(c * alphas - a2 * c_hi))
+        r_omega = np.maximum(r_diag, a2 * c_off)
         return r_sum + r_vec + r_omega
 
     return residual
@@ -417,7 +417,7 @@ def werner_residual_curve(N: int, alphas: np.ndarray) -> np.ndarray:
     """Total purity residual of werner(N, alpha) for an array of alphas.
 
     The alpha-independent contractions are computed once per call, and
-    each alpha then costs O(n); this matches
+    each alpha then costs O(1); this matches
     purity_residuals_qudit(werner(N, a).state) pointwise.
     """
     return _werner_residual(N)(alphas)

@@ -19,7 +19,7 @@ import numpy as np
 # every other module is imported by the handler that uses it, so a process
 # compiles only what its subcommand runs
 from . import basis as basis_mod
-from .basis import DEFAULT_TOL, DENSE_VIEW_MAX_BYTES
+from .basis import DEFAULT_TOL, require_budget
 
 if TYPE_CHECKING:
     from .bipartite import BipartiteState
@@ -116,26 +116,16 @@ def _load_bipartite_state(path: str) -> BipartiteState:
 
 # The CLI holds its whole output in memory before writing it.  Its cost per
 # werner row or random state, for n = N^2 - 1, rounded up from tracemalloc
-# peaks of whole commands: werner takes about 1860 B per JSON row at N <= 7
-# (770 per CSV row) and 16 n B above, where the (steps, n) float temporaries
-# of the residual curve take over; random takes about 900 + 150 n B per
-# state (its Bloch list and JSON text).  Costs fixed per N are left out.
+# peaks of whole commands: werner takes about 1860 B per JSON row (770 per
+# CSV row) at N = 3 to 16, so its 17 n B term is spare; random takes about
+# 900 + 150 n B per state (its Bloch list and JSON text).  Costs fixed per N
+# are left out.
 def _werner_row_bytes(N: int) -> int:
     return 2000 + 17 * (N * N - 1)
 
 
 def _random_state_bytes(N: int) -> int:
     return 1200 + 160 * (N * N - 1)
-
-
-def _require_fits(flag: str, count: int, item_bytes: int) -> None:
-    """Refuse, before allocating, a count whose output exceeds DENSE_VIEW_MAX_BYTES."""
-    nbytes = count * item_bytes
-    if nbytes > DENSE_VIEW_MAX_BYTES:
-        raise ValueError(
-            f"{flag} {count} needs about {nbytes / 2**20:.0f} MiB, more than "
-            f"DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB"
-        )
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
@@ -196,7 +186,7 @@ def cmd_qutrit_region(args: argparse.Namespace) -> int:
 def cmd_werner(args: argparse.Namespace) -> int:
     from . import bipartite
 
-    _require_fits("--steps", args.steps, _werner_row_bytes(args.N))
+    require_budget(f"--steps {args.steps}", args.steps * _werner_row_bytes(args.N))
     report = bipartite.werner_consistency(args.N)
     rows = bipartite.werner_positivity_scan(
         args.N, args.alpha_min, args.alpha_max, args.steps, args.tolerance
@@ -242,7 +232,7 @@ def cmd_verify_su4(args: argparse.Namespace) -> int:
 def cmd_random(args: argparse.Namespace) -> int:
     from . import qudit, sampling
 
-    _require_fits("--count", args.count, _random_state_bytes(args.N))
+    require_budget(f"--count {args.count}", args.count * _random_state_bytes(args.N))
     basis_mod.cached_basis(args.N)  # refuses N < 2 before sampling
     rng = np.random.default_rng(args.seed)
     states = []
@@ -342,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         command, message = exc.args
     except (ValueError, KeyError, ArithmeticError) as exc:
         message = str(exc)
+    except MemoryError as exc:
+        message = f"out of memory: {exc}"
     _error(command, message)
     return EXIT_INVALID_INPUT
 

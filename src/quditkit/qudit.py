@@ -67,8 +67,8 @@ class PurityResiduals:
     r_norm: float  # |P|^2 - N(N-1)/2, signed
     r_vec: float   # max_a |(1 - 2/N) P_a - d_bca P_b P_c / N|
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        return abs(self.r_norm) <= tol and self.r_vec <= tol
+    def is_pure(self) -> bool:
+        return abs(self.r_norm) <= 1e-9 and self.r_vec <= 1e-9
 
 
 def from_bloch(N: int, P: np.ndarray) -> QuditState:
@@ -81,16 +81,16 @@ def from_bloch(N: int, P: np.ndarray) -> QuditState:
     return QuditState(dim=N, bloch=_readonly(P.copy()), rho=_readonly(rho))
 
 
-def to_bloch(rho: np.ndarray, basis: GellMannBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
+def to_bloch(rho: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     """P_a = (N/2) Tr(rho L_a); requires Hermitian unit-trace input."""
     N = basis.dim
-    rho = require_density(rho, (N, N), tol)
+    rho = require_density(rho, (N, N))
     return (N / 2.0) * (basis.matrix @ rho.T.ravel()).real
 
 
-def from_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> QuditState:
+def from_density_matrix(rho: np.ndarray) -> QuditState:
     N = np.asarray(rho).shape[0]
-    return from_bloch(N, to_bloch(rho, cached_basis(N), tol))
+    return from_bloch(N, to_bloch(rho, cached_basis(N)))
 
 
 def _q(state: QuditState, tensors: StructureTensors | None) -> np.ndarray:
@@ -143,10 +143,10 @@ def entropy(state: QuditState, tol: float = DEFAULT_TOL) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def transform(state: QuditState, U: np.ndarray, tol: float = DEFAULT_TOL) -> QuditState:
+def transform(state: QuditState, U: np.ndarray) -> QuditState:
     """Conjugated state U rho U^dag; Bloch vector rotates by the adjoint matrix."""
-    U = require_unitary(U, tol)
+    U = require_unitary(U)
     N = state.dim
     if U.shape[0] != N:
         raise ValueError(f"unitary is {U.shape[0]}x{U.shape[0]}, state has N={N}")
-    return from_bloch(N, to_bloch(U @ state.rho @ U.conj().T, cached_basis(N), tol))
+    return from_bloch(N, to_bloch(U @ state.rho @ U.conj().T, cached_basis(N)))

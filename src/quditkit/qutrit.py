@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DEFAULT_TOL, DENSE_VIEW_MAX_BYTES
+from .basis import DEFAULT_TOL, require_budget
 
 # cos(chi) may poke out of [-1, 1] by roundoff; clamp only this far
 CLAMP_SLACK = 1e-9
@@ -65,17 +65,17 @@ def _require_invariants(p2: float, Q: float) -> None:
         raise ValueError(f"|P|^2 must be >= 0, got {p2}")
 
 
-def spectrum(p2: float, Q: float, tol: float = DEFAULT_TOL) -> QutritSpectrum:
+def spectrum(p2: float, Q: float) -> QutritSpectrum:
     """Roots of x^3 - p2 x - (2/3) Q = 0 in closed trigonometric form.
 
     |P| = 0 degenerates to the triple root 0 (chi reported as 0).  Raises
     ValueError for NaN, infinite or negative input, and
     DiscriminantViolationError when sqrt(3)|Q|/|P|^3 exceeds 1 beyond the
-    clamping slack.
+    clamping slack, or when |P| = 0 and |Q| > DEFAULT_TOL.
     """
     _require_invariants(p2, Q)
     if p2 == 0.0:
-        if abs(Q) > tol:
+        if abs(Q) > DEFAULT_TOL:
             raise DiscriminantViolationError(f"|P| = 0 forces Q = 0, got Q={Q}")
         return QutritSpectrum(
             roots=(0.0, 0.0, 0.0), chi=0.0, eigenvalues_rho=(1 / 3.0, 1 / 3.0, 1 / 3.0)
@@ -149,16 +149,17 @@ def _fail_mask(ok_norm, ok_cond1, ok_disc, ok_eigen) -> np.ndarray:
     )
 
 
-def admissible(p2: float, Q: float, tol: float = DEFAULT_TOL) -> tuple[bool, list[FailFlag]]:
+def admissible(p2: float, Q: float) -> tuple[bool, list[FailFlag]]:
     """Physicality verdict for the invariant pair, with the failed conditions.
 
-    Raises ValueError for NaN, infinite or negative input.  A huge finite
-    pair may overflow to inf inside the conditions, without a warning; where
-    both 3 Q^2 and |P|^6 overflow, the discriminant compares their logarithms.
+    The conditions are region_scan's at tol = DEFAULT_TOL.  Raises
+    ValueError for NaN, infinite or negative input.  A huge finite pair may
+    overflow to inf inside the conditions, without a warning; where both
+    3 Q^2 and |P|^6 overflow, the discriminant compares their logarithms.
     """
     _require_invariants(p2, Q)
     with np.errstate(over="ignore"):
-        mask = int(_fail_mask(*_conditions(np.array([p2]), np.array([Q]), tol))[0])
+        mask = int(_fail_mask(*_conditions(np.array([p2]), np.array([Q]), DEFAULT_TOL))[0])
     # written out, as iterating FailFlag on Python 3.10 also yields NONE
     order = (FailFlag.NORM_BOUND, FailFlag.CONDITION1, FailFlag.DISCRIMINANT,
              FailFlag.EIGEN_POSITIVITY)
@@ -177,12 +178,7 @@ def region_scan(resolution: int = 512, tol: float = DEFAULT_TOL) -> RegionGrid:
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
-    nbytes = 2 * resolution * resolution
-    if nbytes > DENSE_VIEW_MAX_BYTES:
-        raise ValueError(
-            f"a {resolution} x {resolution} region grid needs {nbytes / 2**20:.0f} MiB, "
-            f"more than DENSE_VIEW_MAX_BYTES = {DENSE_VIEW_MAX_BYTES / 2**20:.0f} MiB"
-        )
+    require_budget(f"a {resolution} x {resolution} region grid", 2 * resolution * resolution)
     p_values = np.linspace(0.0, P_MAX, resolution)
     q_values = np.linspace(Q_MIN, Q_MAX, resolution)
     p2 = p_values**2

@@ -38,34 +38,33 @@ class SymPolyReport:
         }
 
 
-def require_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def require_hermitian(M: np.ndarray) -> np.ndarray:
+    """M as a complex array, checked square and Hermitian within DEFAULT_TOL."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     dev = float(np.abs(M - M.conj().T).max())
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {tol:.3e}")
+    if dev > DEFAULT_TOL:
+        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {DEFAULT_TOL:.3e}")
     return M
 
 
-def require_density(
-    rho: np.ndarray, shape: tuple[int, int] | None = None, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """rho as a complex array, checked Hermitian, of the given shape if any, unit-trace."""
-    rho = require_hermitian(rho, tol)
+def require_density(rho: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """rho as a complex array, Hermitian and unit-trace within DEFAULT_TOL, of shape if given."""
+    rho = require_hermitian(rho)
     if shape is not None and rho.shape != shape:
         raise ValueError(f"matrix is {rho.shape}, expected {shape}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > DEFAULT_TOL:
         raise ValueError(f"trace must be 1, got {tr!r}")
     return rho
 
 
-def power_sums(M: np.ndarray, K: int, tol: float = DEFAULT_TOL) -> list[float]:
+def power_sums(M: np.ndarray, K: int) -> list[float]:
     """p_k = Tr(M^k) for k = 1..K, by repeated multiplication."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    M = require_hermitian(M, tol)
+    M = require_hermitian(M)
     out = []
     P = M.copy()
     for _ in range(K):
@@ -89,13 +88,15 @@ def elementary_from_power(p: list[float] | np.ndarray) -> list[float]:
 def positivity_check(rho: np.ndarray, tol: float = DEFAULT_TOL) -> SymPolyReport:
     """PSD verdict from e_k >= 0, cross-checked against the spectrum.
 
-    Requires Tr rho = 1 within ``tol``.  The e_k verdict and the
-    eigenvalue verdict must agree; a disagreement beyond tolerance raises
-    ArithmeticError (numerical breakdown).
+    ``tol`` is the verdict tolerance: psd means e_k >= -tol for every k,
+    and the spectrum verdict means lambda_min >= -tol.  The input checks
+    (Hermitian, Tr rho = 1) use DEFAULT_TOL, whatever ``tol`` is.  The two
+    verdicts must agree; a disagreement raises ArithmeticError (numerical
+    breakdown).
     """
-    rho = require_density(rho, tol=tol)
+    rho = require_density(rho)
     n = rho.shape[0]
-    p = power_sums(rho, n, tol)
+    p = power_sums(rho, n)
     e = elementary_from_power(p)
     psd = all(ek >= -tol for ek in e)
     min_eig = float(np.linalg.eigvalsh(rho)[0])
@@ -115,19 +116,17 @@ def positivity_check(rho: np.ndarray, tol: float = DEFAULT_TOL) -> SymPolyReport
     )
 
 
-def trace_powers_from_traceless(
-    a_traces: list[float] | np.ndarray, N: int, k: int, tol: float = DEFAULT_TOL
-) -> float:
+def trace_powers_from_traceless(a_traces: list[float] | np.ndarray, N: int, k: int) -> float:
     """Tr rho^k for rho = (1 + A)/N from the traces Tr A^m, m = 0..k.
 
     Binomial expansion: Tr rho^k = N^-k sum_m C(k, m) Tr A^m.  Requires
-    Tr A^0 = N and Tr A = 0.
+    Tr A^0 = N and Tr A = 0, each within DEFAULT_TOL.
     """
     a_traces = list(a_traces)
     if len(a_traces) < k + 1:
         raise ValueError(f"need Tr A^0..Tr A^{k}, got {len(a_traces)} values")
-    if abs(a_traces[0] - N) > tol:
+    if abs(a_traces[0] - N) > DEFAULT_TOL:
         raise ValueError(f"Tr A^0 must equal N={N}, got {a_traces[0]!r}")
-    if abs(a_traces[1]) > tol:
+    if abs(a_traces[1]) > DEFAULT_TOL:
         raise ValueError(f"A must be traceless, got Tr A = {a_traces[1]!r}")
     return sum(comb(k, m) * a_traces[m] for m in range(k + 1)) / N**k

@@ -171,7 +171,7 @@ def test_criterion_5_two_qubit_purity_chain():
         res = purity_residuals_qubit(st)
         worst_chain = max(worst_chain, abs(res.r_sum), res.r_x, res.r_y, res.r_omega)
         worst_chain = max(worst_chain, trace_identity_residual(st))
-        rep = derived_qubit_identities(st, tol=1e-8)
+        rep = derived_qubit_identities(st)
         worst_derived = max(
             worst_derived,
             rep["norm_equality_residual"],

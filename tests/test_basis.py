@@ -1,8 +1,12 @@
+import importlib
+import inspect
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import quditkit
 from quditkit import sampling
 from quditkit.basis import (
     DENSE_VIEW_MAX_BYTES,
@@ -363,3 +367,25 @@ def test_tensor_build_memory_at_n32():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+
+
+def test_only_the_verdict_functions_take_a_tolerance():
+    # the verdicts that --tolerance sets; every other comparison, the input
+    # checks included, uses DEFAULT_TOL or a fixed limit
+    found = set()
+    for info in pkgutil.iter_modules(quditkit.__path__):
+        module = importlib.import_module(f"quditkit.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            methods = vars(obj).items() if inspect.isclass(obj) else ()
+            for qualname, f in [(name, obj), *((f"{name}.{m}", f) for m, f in methods)]:
+                if inspect.isfunction(f) and "tol" in inspect.signature(f).parameters:
+                    found.add(f"{info.name}.{qualname}")
+    assert found == {
+        "bipartite.werner_positivity_scan",
+        "qudit.QuditState.to_json_dict",
+        "qudit.entropy",
+        "qutrit.region_scan",
+        "sympoly.positivity_check",
+    }

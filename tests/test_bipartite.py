@@ -576,6 +576,19 @@ def test_werner_consistency_memory_at_n7():
     assert peak < 32 * 2**20
 
 
+def test_werner_consistency_memory_at_n16():
+    # the diagonal of the matrix condition enters through its min and max, not
+    # through a (10 000, 255) residual array: 5.6 MiB peak, against 39 MiB
+    cached_tensors(16)
+    tracemalloc.start()
+    try:
+        werner_consistency(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def test_werner_positivity_scan_gap_n2():
     rows = werner_positivity_scan(2, -1.25, 1.25, 201)
     e2_window = [r["alpha"] for r in rows if r["e2"] >= -1e-9]

@@ -336,6 +336,42 @@ def test_check_builds_no_structure_tensors(tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["physical"] is True
 
 
+OUT_OF_MEMORY = """
+import resource, sys
+cap = 400 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from quditkit.cli import main
+sys.exit(main(["tensors", "--N", "64", "--output", "t64.json"]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_out_of_memory_exits_one_with_json_error(tmp_path):
+    # the child caps its own address space at 400 MiB before it loads
+    # quditkit; the f/d build at N = 64 passes the budget check but not the cap
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = json.loads(proc.stderr)  # one JSON object, no traceback
+    assert error["command"] == "tensors" and error["error"].startswith("out of memory: ")
+
+
+def test_check_input_checks_ignore_a_tiny_tolerance(capsys, tmp_path):
+    # --tolerance sets the verdict only: the trace of this state may round to
+    # 0.9999999999999999, which the unit-trace check allows at DEFAULT_TOL
+    from quditkit.qudit import from_density_matrix
+    from quditkit.sampling import random_density_matrix
+
+    state = from_density_matrix(random_density_matrix(3, np.random.default_rng(3)))
+    path = write_state(tmp_path, "s3.json", state.to_json_dict())
+    code, out, err = run_cli(capsys, "check", path, "--tolerance", "1e-17")
+    assert code == 0 and err == ""
+    assert json.loads(out)["N"] == 3
+
+
 def test_basis_beyond_memory_budget_exits_one(tmp_path):
     proc = run_cli_subprocess(tmp_path, "basis", "--N", "100")
     assert proc.returncode == 1 and proc.stdout == ""

@@ -200,3 +200,13 @@ def test_require_density_checks_hermitian_then_shape_then_trace(rng):
         require_density(2.0 * rho, (3, 3))
     with pytest.raises(ValueError, match="trace must be 1"):
         require_density(2.0 * rho)
+
+
+def test_positivity_input_checks_ignore_the_verdict_tolerance():
+    # np.trace gives 0.9999999999999999 here: within DEFAULT_TOL of 1, though
+    # not within the verdict tolerance 1e-17
+    rep = positivity_check(np.diag([0.6, 0.3, 0.1]), 1e-17)
+    assert rep.psd and rep.eig_psd
+    # and a trace off by 1e-6 is refused even under a loose verdict tolerance
+    with pytest.raises(ValueError, match="trace must be 1"):
+        positivity_check(np.diag([0.6, 0.3, 0.1 + 1e-6]), 1e-3)
