@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,18 @@ class BipartiteState:
             "omega": self.omega.tolist(),
         }
 
+    @cached_property
+    def z(self) -> np.ndarray:
+        """Z = -(1/2)(tr^2 w - tr w^2) 1 + tr(w) w^T - (w^2)^T; N = 2 only.
+
+        Computed once per state; read-only.
+        """
+        _require_qubit(self)
+        w = self.omega
+        trw = np.trace(w)
+        w2 = w @ w
+        return _readonly(-0.5 * (trw**2 - np.trace(w2)) * np.eye(3) + trw * w.T - w2.T)
+
 
 @dataclass(frozen=True)
 class PurityResiduals:
@@ -71,9 +84,6 @@ class PurityResiduals:
 
     def total(self) -> float:
         return abs(self.r_sum) + self.r_x + self.r_y + self.r_omega
-
-    def is_pure(self) -> bool:
-        return self.total() <= 4e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,19 +199,12 @@ def reduced_states(state: BipartiteState) -> tuple[QuditState, QuditState]:
 
 
 # ---------------------------------------------------------------------------
-# two-qubit (N = 2) purity chain and derived identities
+# two-qubit (N = 2) purity chain, Z matrix and positivity inequalities
 # ---------------------------------------------------------------------------
 
 def _require_qubit(state: BipartiteState) -> None:
     if state.dim != 2:
         raise ValueError(f"operation is defined for N = 2 only, got N = {state.dim}")
-
-
-def _z(w: np.ndarray) -> np.ndarray:
-    """Z = -(1/2)(tr^2 w - tr w^2) 1 + tr(w) w^T - (w^2)^T for a 3 x 3 omega."""
-    trw = np.trace(w)
-    w2 = w @ w
-    return -0.5 * (trw**2 - np.trace(w2)) * np.eye(3) + trw * w.T - w2.T
 
 
 def purity_residuals_qubit(state: BipartiteState) -> PurityResiduals:
@@ -211,48 +214,19 @@ def purity_residuals_qubit(state: BipartiteState) -> PurityResiduals:
     r_sum = 1.0 + x @ x + y @ y + np.sum(w * w) - 4.0
     r_x = np.abs(x - w @ y).max()
     r_y = np.abs(y - w.T @ x).max()
-    r_omega = np.abs(w - np.outer(x, y) - _z(w)).max()
+    r_omega = np.abs(w - np.outer(x, y) - state.z).max()
     return PurityResiduals(
         r_sum=float(r_sum), r_x=float(r_x), r_y=float(r_y), r_omega=float(r_omega)
     )
 
 
-def derived_qubit_identities(state: BipartiteState) -> dict:
-    """Identities that follow from purity: |x|^2 = |y|^2 = 1 + det(omega) etc.
-
-    Refuses input that is not pure by PurityResiduals.is_pure (the
-    identities are consequences of rho^2 = rho).
-    """
-    _require_qubit(state)
-    res = purity_residuals_qubit(state)
-    if not res.is_pure():
-        raise ValueError(f"state is not pure: purity residual total {res.total():.3e}")
-    x, y, w = state.x, state.y, state.omega
-    trw = float(np.trace(w))
-    trw2 = float(np.trace(w @ w))
-    det_w = _det(w)
-    xx = float(x @ x)
-    yy = float(y @ y)
-    return {
-        "x_norm_sq": xx,
-        "y_norm_sq": yy,
-        "det_omega": det_w,
-        "trace_identity_residual": abs(trw - float(x @ y) + 0.5 * (trw**2 - trw2)),
-        "norm_equality_residual": abs(xx - yy),
-        "gram_identity_residual": abs(float(np.sum(w * w)) - xx + 3.0 * det_w),
-        "det_connection_residual": max(abs(xx - 1.0 - det_w), abs(yy - 1.0 - det_w)),
-    }
-
-
 def z_matrix(state: BipartiteState) -> ZMatrix:
     """Z_ij = -d_ij e2(omega) + omega_ji tr(omega) - (omega^2)_ji, for N = 2."""
-    _require_qubit(state)
-    w = state.omega
-    Z = _z(w)
+    w, Z = state.omega, state.z
     det_w = _det(w)
     residual = float(np.abs(w @ Z.T + det_w * np.eye(3)).max())
     return ZMatrix(
-        Z=_readonly(Z),
+        Z=Z,
         det_omega=det_w,
         adjugate_residual=residual,
         entangled=bool(np.abs(Z).max() > DEFAULT_TOL),
@@ -278,7 +252,7 @@ def mixed_positivity_qubit(state: BipartiteState) -> dict:
     S = float(x @ x + y @ y + np.sum(w * w))
     det_w = _det(w)
     G = float(x @ w @ y) - det_w
-    Z = _z(w)
+    Z = state.z
     ineq1 = 3.0 - S
     ineq2 = 1.0 - S + 2.0 * G
     ineq3 = (
@@ -413,16 +387,6 @@ def _werner_residual(N: int) -> Callable[[np.ndarray], np.ndarray]:
     return residual
 
 
-def werner_residual_curve(N: int, alphas: np.ndarray) -> np.ndarray:
-    """Total purity residual of werner(N, alpha) for an array of alphas.
-
-    The alpha-independent contractions are computed once per call, and
-    each alpha then costs O(1); this matches
-    purity_residuals_qudit(werner(N, a).state) pointwise.
-    """
-    return _werner_residual(N)(alphas)
-
-
 def werner_consistency(N: int) -> WernerConsistencyReport:
     """Both alpha determinations plus the scanned minimum purity residual.
 
@@ -494,7 +458,7 @@ def werner_positivity_scan(
     the eigenvalue (1 + 2 alpha (+-1 - 1/N)) / N^2 on the symmetric
     (multiplicity N(N+1)/2) and antisymmetric (N(N-1)/2) subspaces.  The
     power sums p_1..p_3 follow from it, e_2 and e_3 from Newton's identities,
-    and the purity residual from werner_residual_curve.  A NaN or infinite
+    and the purity residual from _werner_residual.  A NaN or infinite
     alpha bound is refused with ValueError.
     """
     if steps < 2:
@@ -508,7 +472,7 @@ def werner_positivity_scan(
     alphas = np.linspace(alpha_min, alpha_max, steps)
     eigs = (1.0 + 2.0 * alphas[:, None] * (np.array([1.0, -1.0]) - 1.0 / N)) / (N * N)
     mult = np.array([N * (N + 1) / 2.0, N * (N - 1) / 2.0])
-    residuals = werner_residual_curve(N, alphas)
+    residuals = _werner_residual(N)(alphas)
     rows = []
     for alpha, spectrum, residual in zip(alphas, eigs, residuals):
         p = [float(mult @ spectrum**k) for k in (1, 2, 3)]

@@ -116,12 +116,10 @@ def _load_bipartite_state(path: str) -> BipartiteState:
 
 # The CLI holds its whole output in memory before writing it.  Its cost per
 # werner row or random state, for n = N^2 - 1, rounded up from tracemalloc
-# peaks of whole commands: werner takes about 1860 B per JSON row (770 per
-# CSV row) at N = 3 to 16, so its 17 n B term is spare; random takes about
-# 900 + 150 n B per state (its Bloch list and JSON text).  Costs fixed per N
-# are left out.
-def _werner_row_bytes(N: int) -> int:
-    return 2000 + 17 * (N * N - 1)
+# peaks of whole commands: werner takes about 1850 to 1900 B per JSON row (770
+# per CSV row) at N = 2 to 16, whatever N is; random takes about 900 + 150 n B
+# per state (its Bloch list and JSON text).  Costs fixed per N are left out.
+_WERNER_ROW_BYTES = 2000
 
 
 def _random_state_bytes(N: int) -> int:
@@ -186,7 +184,7 @@ def cmd_qutrit_region(args: argparse.Namespace) -> int:
 def cmd_werner(args: argparse.Namespace) -> int:
     from . import bipartite
 
-    require_budget(f"--steps {args.steps}", args.steps * _werner_row_bytes(args.N))
+    require_budget(f"--steps {args.steps}", args.steps * _WERNER_ROW_BYTES)
     report = bipartite.werner_consistency(args.N)
     rows = bipartite.werner_positivity_scan(
         args.N, args.alpha_min, args.alpha_max, args.steps, args.tolerance

@@ -16,6 +16,7 @@ antisymmetric in a, b), so q_c = d_abc P_a P_b = Tr(A^2 L_c)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,18 @@ class QuditState:
             "physical": float(np.linalg.eigvalsh(self.rho)[0]) >= -tol,
         }
 
+    @cached_property
+    def q(self) -> np.ndarray:
+        """q_a = d_abc P_b P_c = Tr(A^2 L_a) / 2 with A = N rho - 1; read-only, computed once.
+
+        The product rule gives A^2 = (2/N)|P|^2 1 + d_abc P_a P_b L_c, so q is
+        one N x N product and one GEMV with the generator matrix; no f or d is
+        read.
+        """
+        N = self.dim
+        A = N * self.rho - np.eye(N)
+        return _readonly(0.5 * (cached_basis(N).matrix @ (A @ A).T.ravel()).real)
+
 
 @dataclass(frozen=True)
 class InvariantSet:
@@ -67,9 +80,6 @@ class PurityResiduals:
     r_norm: float  # |P|^2 - N(N-1)/2, signed
     r_vec: float   # max_a |(1 - 2/N) P_a - d_bca P_b P_c / N|
 
-    def is_pure(self) -> bool:
-        return abs(self.r_norm) <= 1e-9 and self.r_vec <= 1e-9
-
 
 def from_bloch(N: int, P: np.ndarray) -> QuditState:
     """State with rho = (1/N)(1 + P_a L_a); P need not be physical."""
@@ -94,17 +104,10 @@ def from_density_matrix(rho: np.ndarray) -> QuditState:
 
 
 def _q(state: QuditState, tensors: StructureTensors | None) -> np.ndarray:
-    """q_a = d_abc P_b P_c = Tr(A^2 L_a) / 2 with A = N rho - 1; no f or d is read.
-
-    The product rule gives A^2 = (2/N)|P|^2 1 + d_abc P_a P_b L_c, so q is one
-    N x N product and one GEMV with the generator matrix.  ``tensors`` is
-    ignored apart from its dimension (kept for callers that still pass it).
-    """
-    N = state.dim
-    if tensors is not None and tensors.dim != N:
+    """state.q; ``tensors`` is ignored apart from its dimension (kept for callers that pass it)."""
+    if tensors is not None and tensors.dim != state.dim:
         raise ValueError("tensors do not match the state dimension")
-    A = N * state.rho - np.eye(N)
-    return 0.5 * (cached_basis(N).matrix @ (A @ A).T.ravel()).real
+    return state.q
 
 
 def invariants(state: QuditState, tensors: StructureTensors | None = None) -> InvariantSet:

@@ -14,9 +14,18 @@ stacks them, the reference for ``quditkit.basis.generate_basis``.
 ``einsum_from_bloch``, ``einsum_to_bloch`` and ``einsum_adjoint`` contract the
 (N^2-1, N, N) generator stack index by index.  quditkit reads the same
 quantities off one product with the (N^2-1, N^2) generator matrix instead.
+
+``derived_qubit_identities`` evaluates the identities that purity implies for
+two qubits.  ``uncached_q`` and ``uncached_z`` write out the expressions
+behind ``QuditState.q`` and ``BipartiteState.z`` as plain functions, evaluated
+afresh on every call, so the cached properties can be compared with them bit
+for bit.
 """
 
 import numpy as np
+
+from quditkit.basis import cached_basis
+from quditkit.bipartite import _det, purity_residuals_qubit
 
 
 def dense_tensors(t) -> tuple[np.ndarray, np.ndarray]:
@@ -130,3 +139,43 @@ def elementary_from_invariants(N: int, inv) -> tuple[float, float, float]:
         - (2.0 * p2**2 / N + qq) / (2.0 * N**4)
     )
     return e2, e3, e4
+
+
+def derived_qubit_identities(state) -> dict:
+    """Identities that follow from two-qubit purity: |x|^2 = |y|^2 = 1 + det(omega) etc.
+
+    Refuses a state whose total purity residual is above 4e-8 (the
+    identities are consequences of rho^2 = rho).
+    """
+    res = purity_residuals_qubit(state)
+    if not res.total() <= 4e-8:
+        raise ValueError(f"state is not pure: purity residual total {res.total():.3e}")
+    x, y, w = state.x, state.y, state.omega
+    trw = float(np.trace(w))
+    trw2 = float(np.trace(w @ w))
+    det_w = _det(w)
+    xx = float(x @ x)
+    yy = float(y @ y)
+    return {
+        "x_norm_sq": xx,
+        "y_norm_sq": yy,
+        "det_omega": det_w,
+        "trace_identity_residual": abs(trw - float(x @ y) + 0.5 * (trw**2 - trw2)),
+        "norm_equality_residual": abs(xx - yy),
+        "gram_identity_residual": abs(float(np.sum(w * w)) - xx + 3.0 * det_w),
+        "det_connection_residual": max(abs(xx - 1.0 - det_w), abs(yy - 1.0 - det_w)),
+    }
+
+
+def uncached_q(state) -> np.ndarray:
+    """q_a = Tr(A^2 L_a) / 2 with A = N rho - 1, evaluated afresh."""
+    N = state.dim
+    A = N * state.rho - np.eye(N)
+    return 0.5 * (cached_basis(N).matrix @ (A @ A).T.ravel()).real
+
+
+def uncached_z(w: np.ndarray) -> np.ndarray:
+    """Z = -(1/2)(tr^2 w - tr w^2) 1 + tr(w) w^T - (w^2)^T for a 3 x 3 omega."""
+    trw = np.trace(w)
+    w2 = w @ w
+    return -0.5 * (trw**2 - np.trace(w2)) * np.eye(3) + trw * w.T - w2.T

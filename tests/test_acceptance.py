@@ -7,17 +7,15 @@ calibrated at runtime.
 
 import numpy as np
 
-from quditkit import sampling
+from quditkit import bipartite, sampling
 from quditkit.basis import adjoint_of, cached_basis, cached_tensors
 from quditkit.bipartite import (
-    derived_qubit_identities,
     from_components,
     from_density_matrix,
     purity_residuals_qubit,
     trace_identity_residual,
     werner_consistency,
     werner_positivity_scan,
-    werner_residual_curve,
     z_matrix,
 )
 from quditkit.qudit import entropy, from_bloch, invariants, to_bloch, transform
@@ -29,7 +27,7 @@ from quditkit.sympoly import (
     power_sums,
 )
 
-from closed_forms import dense_tensors, elementary_closed_forms
+from closed_forms import dense_tensors, derived_qubit_identities, elementary_closed_forms
 
 SEED = 1234
 
@@ -211,7 +209,7 @@ def test_criterion_6_werner_theorem():
             and rep.alpha_norm == N / 2.0
             and rep.alpha_omega == -N * (N * N - 2.0) / 4.0
         )
-        grid_min = float(werner_residual_curve(N, np.linspace(-N, N, 10_000)).min())
+        grid_min = float(bipartite._werner_residual(N)(np.linspace(-N, N, 10_000)).min())
         min_ok &= rep.min_residual > 0.1 and grid_min > 0.1
         details.append(f"N={N}: min residual {rep.min_residual:.3g}")
     _report(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from quditkit import bipartite, sampling
 from quditkit.basis import cached_basis, cached_tensors
 from quditkit.bipartite import (
-    derived_qubit_identities,
     from_components,
     from_density_matrix,
     mixed_positivity_qubit,
@@ -21,13 +21,12 @@ from quditkit.bipartite import (
     werner,
     werner_consistency,
     werner_positivity_scan,
-    werner_residual_curve,
     werner_scan_csv,
     z_matrix,
 )
 from quditkit.sympoly import elementary_from_power, positivity_check, power_sums
 
-from closed_forms import dense_tensors
+from closed_forms import dense_tensors, derived_qubit_identities, uncached_z
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -482,7 +481,7 @@ def test_werner_consistency_values():
 def test_werner_residual_curve_matches_generic_path(rng):
     for N in (2, 3, 4):
         alphas = rng.uniform(-N, N, size=8)
-        fast = werner_residual_curve(N, alphas)
+        fast = bipartite._werner_residual(N)(alphas)
         for a, v in zip(alphas, fast):
             generic = purity_residuals_qudit(werner(N, float(a)).state).total()
             assert abs(v - generic) < 1e-9
@@ -538,7 +537,7 @@ def werner_minimum_per_alpha(N, tensors, grid_points=10_000, refine_iters=200):
 def test_werner_consistency_matches_per_alpha_reference(N):
     t = cached_tensors(N)
     alphas = np.linspace(-N, N, 10_000)
-    got = werner_residual_curve(N, alphas)
+    got = bipartite._werner_residual(N)(alphas)
     assert got.tobytes() == werner_residual_curve_per_alpha(N, alphas, t).tobytes()
     rep = werner_consistency(N)
     assert (rep.min_residual, rep.argmin_alpha) == werner_minimum_per_alpha(N, t)
@@ -556,7 +555,7 @@ def werner_residual_closed_form(N, alphas):
 def test_werner_family_matches_closed_form(N):
     alphas = np.linspace(-N, N, 10_001)
     exact = werner_residual_closed_form(N, alphas)
-    assert np.all(np.abs(werner_residual_curve(N, alphas) - exact) <= 2e-15 * exact)
+    assert np.all(np.abs(bipartite._werner_residual(N)(alphas) - exact) <= 2e-15 * exact)
     # minimum over [-N, N]: 0 at the singlet (N = 2), 7.5 at -3/2 (N = 3), N^2 - 1 at 0
     min_exact, argmin_exact = {2: (0.0, -1.0), 3: (7.5, -1.5)}.get(N, (N * N - 1.0, 0.0))
     rep = werner_consistency(N)
@@ -680,7 +679,7 @@ def test_no_pure_werner_beyond_qubits(N):
     # desk-scale demonstration: residual bounded away from zero over the
     # whole alpha range
     alphas = np.linspace(-N, N, 10_000)
-    totals = werner_residual_curve(N, alphas)
+    totals = bipartite._werner_residual(N)(alphas)
     assert totals.min() > 0.1
     rep = werner_consistency(N)
     assert rep.min_residual > 0.1
@@ -750,4 +749,43 @@ def test_sparse_pair_contractions_match_dense_einsum(rng, N):
         ) <= 1e-12
     alphas = np.linspace(-N, N, 41)
     ref = dense_werner_residual_curve(N, alphas, t)
-    assert np.abs(werner_residual_curve(N, alphas) - ref).max() <= 1e-12
+    assert np.abs(bipartite._werner_residual(N)(alphas) - ref).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Z, computed once per state
+# ---------------------------------------------------------------------------
+
+def test_z_is_computed_once_per_state(rng):
+    state = from_density_matrix(sampling.random_density_matrix(4, rng), 2)
+    assert z_matrix(state).Z is state.z
+
+
+def test_z_is_read_only(rng):
+    state = from_density_matrix(sampling.random_density_matrix(4, rng), 2)
+    assert not state.z.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.z = np.zeros((3, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del state.z
+    qutrits = random_pure_bipartite(3, rng)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="N = 2 only"):
+            qutrits.z
+    assert "z" not in vars(qutrits)
+
+
+def test_cached_z_has_the_bits_of_the_expression(rng):
+    states = [from_density_matrix(sampling.random_density_matrix(4, rng, rank=r), 2)
+              for r in (1, 2, 3, 4) for _ in range(10)]
+    states += [from_components(2, rng.standard_normal(3), rng.standard_normal(3),
+                               rng.standard_normal((3, 3))) for _ in range(10)]
+    for state in states:
+        x, y, w = state.x, state.y, state.omega
+        Z = uncached_z(w)
+        assert state.z.tobytes() == Z.tobytes()
+        assert purity_residuals_qubit(state).r_omega == float(
+            np.abs(w - np.outer(x, y) - Z).max())
+        det_w = bipartite._det(w)
+        assert z_matrix(state).adjugate_residual == float(
+            np.abs(w @ Z.T + det_w * np.eye(3)).max())

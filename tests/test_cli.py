@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from quditkit.basis import cached_tensors
-from quditkit.cli import _random_state_bytes, _werner_row_bytes, build_parser, main
+from quditkit.cli import _WERNER_ROW_BYTES, _random_state_bytes, build_parser, main
 from quditkit.bipartite import werner_positivity_scan, werner_scan_csv
 from quditkit.qutrit import boundaries_to_csv, region_scan, region_to_csv
 
@@ -404,8 +404,8 @@ def test_output_beyond_memory_budget_exits_one_before_allocating(capsys, argv, m
 @pytest.mark.parametrize(
     "argv, item_bytes",
     [
-        (("werner", "--N", "3", "--steps", "10000"), _werner_row_bytes(3)),
-        (("werner", "--N", "11", "--steps", "10000"), _werner_row_bytes(11)),
+        (("werner", "--N", "3", "--steps", "10000"), _WERNER_ROW_BYTES),
+        (("werner", "--N", "11", "--steps", "10000"), _WERNER_ROW_BYTES),
         (("random", "--N", "5", "--count", "2000"), _random_state_bytes(5)),
         (("random", "--N", "32", "--count", "20"), _random_state_bytes(32)),
     ],

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from quditkit import sampling
+from quditkit import qudit, sampling
 from quditkit.basis import adjoint_of, cached_basis, cached_tensors
 from quditkit.qudit import (
     UnphysicalStateError,
@@ -18,7 +20,7 @@ from quditkit.sympoly import elementary_from_power, power_sums
 
 from closed_forms import (
     coo_q, dense_tensors, einsum_adjoint, einsum_from_bloch, einsum_to_bloch,
-    elementary_from_invariants,
+    elementary_from_invariants, uncached_q,
 )
 
 
@@ -303,3 +305,44 @@ def test_bloch_round_trip_at_large_n(N):
         back = from_bloch(N, P).rho
         assert np.abs(back - rho).max() <= 1e-13
         assert np.abs(to_bloch(back, b) - P).max() <= 1e-13 * max(1.0, np.abs(P).max())
+
+
+def test_q_is_computed_once_per_state(monkeypatch):
+    # q is one GEMV with the generator matrix; invariants and purity_residuals
+    # share it, so the generator matrix is fetched once for both
+    state = from_bloch(5, np.random.default_rng(15).uniform(-1.0, 1.0, 24))
+    calls = []
+
+    def counted(N):
+        calls.append(N)
+        return cached_basis(N)
+
+    monkeypatch.setattr(qudit, "cached_basis", counted)
+    invariants(state)
+    purity_residuals(state, cached_tensors(5))
+    assert calls == [5]
+    assert state.q is state.q
+
+
+def test_q_is_read_only():
+    state = from_bloch(3, np.full(8, 0.25))
+    assert not state.q.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.q = np.zeros(8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del state.q
+    with pytest.raises(ValueError):
+        invariants(state, cached_tensors(4))
+
+
+@pytest.mark.parametrize("N", (*range(2, 17), 32))
+def test_cached_q_has_the_bits_of_the_expression(N):
+    rng = np.random.default_rng([N, 16])
+    for P in _bloch_vectors(N, rng):
+        state = from_bloch(N, P)
+        q = uncached_q(state)
+        assert state.q.tobytes() == q.tobytes()
+        inv, pur = invariants(state), purity_residuals(state)
+        assert inv.q == tuple(float(v) for v in q)
+        assert (inv.Q, inv.quartic) == (float(P @ q), float(q @ q))
+        assert pur.r_vec == float(np.abs((1.0 - 2.0 / N) * P - q / N).max())
