@@ -117,9 +117,11 @@ def _load_bipartite_state(path: str) -> BipartiteState:
 # The CLI holds its whole output in memory before writing it.  Its cost per
 # werner row or random state, for n = N^2 - 1, rounded up from tracemalloc
 # peaks of whole commands: werner takes about 1850 to 1900 B per JSON row (770
-# per CSV row) at N = 2 to 16, whatever N is; random takes about 900 + 150 n B
-# per state (its Bloch list and JSON text).  Costs fixed per N are left out.
-_WERNER_ROW_BYTES = 2000
+# per CSV row) at N = 2 to 16, whatever N is, on Python 3.11; each row is a
+# 7-key dict, about 90 B larger on Python 3.10, so the model keeps 10 % above
+# that.  random takes about 900 + 150 n B per state (its Bloch list and JSON
+# text).  Costs fixed per N are left out.
+_WERNER_ROW_BYTES = 2200
 
 
 def _random_state_bytes(N: int) -> int:

@@ -1,6 +1,6 @@
-"""Benchmark smoke test: ``python3 tools/bench_smoke.py [--seconds 2]``.
+"""Benchmark smoke test: ``python3 tools/bench_smoke.py``.
 
-Runs every perfbench workload for a few seconds at seed 1, untraced and
+Runs every perfbench workload for SECONDS = 2 s at seed 1, untraced and
 traced, and checks the last JSON line and the report of each run: every
 output matches its oracle, and every failure key is a known one.
 qudit-check may fail only with the N >= 8 positivity defect on its
@@ -11,13 +11,13 @@ the first run that breaks a rule.
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 2
 WORKLOADS = ("qudit-check", "pair-chain", "cli-datasets")
 KNOWN_FAILURES = {
     "qudit-check": {"ArithmeticError at N=8 (unphysical)", "ArithmeticError at N=11 (unphysical)"},
@@ -46,14 +46,11 @@ def problems(w: str, trace: int, output: str) -> tuple[str, list[str]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=int, default=2, help="run time per workload")
-    args = parser.parse_args()
     for trace in (0, 1):
         for w in WORKLOADS:
             run = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", w, "--seed", "1",
-                 "--seconds", str(args.seconds), "--trace", str(trace)],
+                 "--seconds", str(SECONDS), "--trace", str(trace)],
                 cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True,
             )
             summary, bad = problems(w, trace, run.stdout)
